@@ -6,6 +6,9 @@
     argstable translate  [--input ...] [--format ...] TARGET [--emit asp|dimacs]
     argstable admissible [--input ...] [--format ...]
 
+`solve --cross-check` runs the three engines and the oracle one after another
+and compares their extensions.
+
 Exit status: 0 success or positive verdict, 1 input error, 2 exhaustive bound
 exceeded, 3 negative verdict, 4 engine disagreement under --cross-check.
 The ARGSTABLE_BOUND environment variable overrides the exhaustive bounds.
@@ -17,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .engines import (
@@ -141,9 +143,7 @@ def _run_engine(name: str, af: ArgumentationFramework, config: RunConfig) -> Sol
 
 def _cmd_solve(ns, af: ArgumentationFramework, config: RunConfig) -> int:
     if ns.cross_check:
-        names = ["alpha", "gamma", "lambda", "oracle"]
-        with ThreadPoolExecutor(max_workers=len(names)) as pool:
-            reports = list(pool.map(lambda n: _run_engine(n, af, config), names))
+        reports = [_run_engine(n, af, config) for n in ("alpha", "gamma", "lambda", "oracle")]
         results = {r.engine: r.extensions for r in reports}
         if len(set(results.values())) != 1:
             for engine, extensions in results.items():

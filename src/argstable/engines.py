@@ -13,8 +13,8 @@ from .logic import (
     Interpretation,
     Literal,
     Program,
+    canonical,
     entails,
-    interpretation_key,
     is_model,
     minimal_models,
     stable_models,
@@ -51,7 +51,7 @@ class QueryVerdict:
 
 def _report(engine: str, af: ArgumentationFramework, pairs) -> SolveReport:
     witnesses = {extension: model for extension, model in pairs}
-    extensions = tuple(sorted(witnesses, key=interpretation_key))
+    extensions = tuple(canonical(witnesses))
     return SolveReport(engine, extensions, witnesses)
 
 
@@ -80,6 +80,19 @@ def preferred_via_lambda(
     return _report("lambda", af, ((m & af.arguments, m) for m in found))
 
 
+def _denied_members(af: ArgumentationFramework, members):
+    """The prologue both checkers share.  Returns the complement image of
+    `members` and the defeat theory plus the denial of every member, or None
+    when the complement image is not a model of the defeat theory."""
+    s = frozenset(members)
+    theory = alpha(af)
+    complement = compl(af, s)
+    if not is_model(theory, complement):
+        return None
+    denials = frozenset(Clause(head=(Literal(defeat_atom(x), 1),)) for x in s)
+    return complement, Program(theory.clauses | denials, theory.signature)
+
+
 def check_preferred_unsat(
     af: ArgumentationFramework,
     members,
@@ -89,21 +102,16 @@ def check_preferred_unsat(
     and the theory plus the denial of every member plus the negated complement
     conjunction must be unsatisfiable.  On failure the counter-model is the
     lexicographically first minimal satisfying model."""
-    s = frozenset(members)
-    theory = alpha(af)
-    complement = compl(af, s)
-    if not is_model(theory, complement):
+    prologue = _denied_members(af, members)
+    if prologue is None:
         return PreferredCheck(False, None, "not-a-model")
+    complement, strengthened = prologue
     if not complement:
         # Negating an empty conjunction gives falsum, so unsatisfiability
         # holds outright and the verdict is the model-hood check above.
         return PreferredCheck(True, None, None)
-    clauses = set(theory.clauses)
-    clauses.update(
-        Clause(head=(Literal(defeat_atom(x), 1),)) for x in sorted(s)
-    )
-    clauses.add(Clause(head=tuple(Literal(d, 1) for d in sorted(complement))))
-    certificate = Program(frozenset(clauses), theory.signature)
+    negated = Clause(head=tuple(Literal(d, 1) for d in sorted(complement)))
+    certificate = Program(strengthened.clauses | {negated}, strengthened.signature)
     satisfying = minimal_models(certificate, bound=bound)
     if not satisfying:
         return PreferredCheck(True, None, None)
@@ -118,16 +126,10 @@ def check_preferred_consequence(
     """Minimality as consequence: the complement image models the defeat
     theory, and the theory plus the denial of every member entails each
     complement atom."""
-    s = frozenset(members)
-    theory = alpha(af)
-    complement = compl(af, s)
-    if not is_model(theory, complement):
+    prologue = _denied_members(af, members)
+    if prologue is None:
         return False
-    clauses = set(theory.clauses)
-    clauses.update(
-        Clause(head=(Literal(defeat_atom(x), 1),)) for x in sorted(s)
-    )
-    strengthened = Program(frozenset(clauses), theory.signature)
+    complement, strengthened = prologue
     goal = [Clause(head=(Literal(d),)) for d in sorted(complement)]
     return entails(strengthened, goal, bound=bound)
 
@@ -142,8 +144,7 @@ def query(
     the lexicographically first qualifying stable model."""
     if argument not in af.arguments:
         raise UnknownArgumentError(f"unknown argument: {argument!r}")
-    found = stable_models(lambda_(af), bound=bound)
-    found.sort(key=interpretation_key)
+    found = canonical(stable_models(lambda_(af), bound=bound))
     if mode == "brave":
         hits = [m for m in found if argument in m]
         return QueryVerdict("brave", bool(hits), hits[0] if hits else None)

@@ -15,4 +15,5 @@ class UnknownArgumentError(ValueError):
 
 
 class BoundExceededError(Exception):
-    """An exhaustive computation was asked to go beyond its configured bound."""
+    """An exhaustive computation was asked to go beyond its configured bound,
+    or the solver's search ran deeper than the interpreter's recursion limit."""

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import ParseError, UnknownArgumentError
 
@@ -44,10 +46,18 @@ class ArgumentationFramework:
                     f"attack ({source},{target}) references an undeclared argument"
                 )
 
+    @cached_property
+    def attacker_index(self) -> Mapping[str, tuple[str, ...]]:
+        """Each argument's attackers in sorted order, built on first use."""
+        table: dict[str, list[str]] = {x: [] for x in self.arguments}
+        for source, target in sorted(self.attacks):
+            table[target].append(source)
+        return MappingProxyType({x: tuple(s) for x, s in table.items()})
+
     def attackers(self, argument: str) -> frozenset[str]:
         """Every argument with an attack onto `argument`."""
         self._known(argument)
-        return frozenset(src for src, tgt in self.attacks if tgt == argument)
+        return frozenset(self.attacker_index[argument])
 
     def is_conflict_free(self, members: Iterable[str]) -> bool:
         s = self._subset(members)

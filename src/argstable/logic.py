@@ -13,6 +13,7 @@ its clauses.  Exhaustive operations refuse signatures beyond `bound`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -170,17 +171,16 @@ def is_model(program: Program, interpretation: Interpretation) -> bool:
     return all(evaluate(interp, c) for c in program.clauses)
 
 
-def _check_bound(size: int, bound: int, what: str) -> None:
+def check_bound(size: int, bound: int, what: str, unit: str = "atoms") -> None:
+    """The one bound policy of every exhaustive operation: refuse `size`
+    beyond `bound` with `BoundExceededError`."""
     if size > bound:
-        raise BoundExceededError(f"{what} has {size} atoms, exceeding the bound of {bound}")
+        raise BoundExceededError(f"{what} has {size} {unit}, exceeding the bound of {bound}")
 
 
-def interpretation_key(s: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(s))
-
-
-def _canonical(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
-    return sorted(sets, key=interpretation_key)
+def canonical(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
+    """Sets in the canonical order every result list uses: by sorted members."""
+    return sorted(sets, key=lambda s: tuple(sorted(s)))
 
 
 def models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
@@ -190,48 +190,61 @@ def models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpret
     tested against.
     """
     atoms = sorted(program.signature)
-    _check_bound(len(atoms), bound, "program signature")
+    check_bound(len(atoms), bound, "program signature")
     clauses = program.sorted_clauses()
     found = []
     for bits in range(1 << len(atoms)):
         interp = frozenset(a for i, a in enumerate(atoms) if bits >> i & 1)
         if all(evaluate(interp, c) for c in clauses):
             found.append(interp)
-    return _canonical(found)
+    return canonical(found)
+
+
+def _cnf(program: Program) -> tuple[list[str], dict[str, int], list[list[int]]]:
+    """The integer CNF image of a program, shared by the solver and the DIMACS
+    export: the signature sorted and numbered from 1, then one integer clause
+    per clause in canonical order.  Head literals keep their parity, body
+    literals flip, and a repeated literal is kept once, where it first occurs."""
+    atoms = sorted(program.signature)
+    index = {a: i + 1 for i, a in enumerate(atoms)}
+    cnf = []
+    for clause in program.sorted_clauses():
+        lits: list[int] = []
+        for h in clause.head:
+            lit = index[h.atom] if h.neg % 2 == 0 else -index[h.atom]
+            if lit not in lits:
+                lits.append(lit)
+        for b in clause.body:
+            lit = -index[b.atom] if b.neg % 2 == 0 else index[b.atom]
+            if lit not in lits:
+                lits.append(lit)
+        cnf.append(lits)
+    return atoms, index, cnf
 
 
 class _CnfSolver:
     """Tiny DPLL over the integer CNF image of a program.
 
-    Each general clause becomes one CNF clause: head literals keep their
-    parity, body literals flip.  Extra integer clauses can be layered on a
-    solve call; that is how the shrink/grow/block loops are expressed.
+    Extra integer clauses can be layered on a solve call; that is how the
+    shrink/grow/block loops are expressed.
     """
 
     def __init__(self, program: Program):
-        self.atoms = sorted(program.signature)
-        self.index = {a: i + 1 for i, a in enumerate(self.atoms)}
-        self.base = [self.clause_ints(c) for c in program.sorted_clauses()]
-
-    def clause_ints(self, clause: Clause) -> list[int]:
-        lits: list[int] = []
-        for h in clause.head:
-            v = self.index[h.atom]
-            lits.append(v if h.neg % 2 == 0 else -v)
-        for b in clause.body:
-            v = self.index[b.atom]
-            lits.append(-v if b.neg % 2 == 0 else v)
-        seen: list[int] = []
-        for lit in lits:
-            if lit not in seen:
-                seen.append(lit)
-        return seen
+        self.atoms, self.index, self.base = _cnf(program)
 
     def solve(
         self, extra: Sequence[Sequence[int]] = (), default: bool = False
     ) -> Interpretation | None:
         cnf = self.base + [list(c) for c in extra]
-        assignment = _dpll(cnf, {})
+        try:
+            assignment = _dpll(cnf, {})
+        except RecursionError:
+            # _dpll recurses once per decision, so a wide enough program runs
+            # past the interpreter's stack before any atom-count bound trips.
+            raise BoundExceededError(
+                f"program signature has {len(self.atoms)} atoms, too many decisions"
+                f" for the solver's recursion limit of {sys.getrecursionlimit()}"
+            ) from None
         if assignment is None:
             return None
         return frozenset(
@@ -303,52 +316,45 @@ def _dpll(cnf: list[list[int]], assignment: dict[int, bool]) -> dict[int, bool] 
     return None
 
 
-def minimal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
-    """Subset-minimal models over the signature.
-
-    Find a model, shrink it by re-solving under strict-subset constraints,
-    emit, then block every superset of the emitted model and repeat.
-    """
-    _check_bound(len(program.signature), bound, "program signature")
+def _extremal_models(program: Program, bound: int, maximal: bool) -> list[Interpretation]:
+    """Find a model, improve it by re-solving under strict-subset (or
+    superset) constraints until none remains, emit it, then block every
+    superset (or subset) of it and repeat.  Unconstrained atoms default to
+    the direction of the search."""
+    check_bound(len(program.signature), bound, "program signature")
     solver = _CnfSolver(program)
+    if maximal:
+        beyond, block = solver.strictly_above, solver.not_subset_of
+    else:
+        beyond, block = solver.strictly_below, solver.not_superset_of
     blocked: list[list[int]] = []
     found: list[Interpretation] = []
     while True:
-        model = solver.solve(blocked, default=False)
+        model = solver.solve(blocked, default=maximal)
         if model is None:
             break
         while True:
-            smaller = solver.solve(blocked + solver.strictly_below(model), default=False)
-            if smaller is None:
+            better = solver.solve(blocked + beyond(model), default=maximal)
+            if better is None:
                 break
-            model = smaller
+            model = better
         found.append(model)
-        blocked.append(solver.not_superset_of(model))
-    return _canonical(found)
+        blocked.append(block(model))
+    return canonical(found)
+
+
+def minimal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
+    """Subset-minimal models over the signature, by the shrink/block loop."""
+    return _extremal_models(program, bound, maximal=False)
 
 
 def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
     """Subset-maximal models over the signature; the dual grow/block loop."""
-    _check_bound(len(program.signature), bound, "program signature")
-    solver = _CnfSolver(program)
-    blocked: list[list[int]] = []
-    found: list[Interpretation] = []
-    while True:
-        model = solver.solve(blocked, default=True)
-        if model is None:
-            break
-        while True:
-            larger = solver.solve(blocked + solver.strictly_above(model), default=True)
-            if larger is None:
-                break
-            model = larger
-        found.append(model)
-        blocked.append(solver.not_subset_of(model))
-    return _canonical(found)
+    return _extremal_models(program, bound, maximal=True)
 
 
 def is_unsatisfiable(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> bool:
-    _check_bound(len(program.signature), bound, "program signature")
+    check_bound(len(program.signature), bound, "program signature")
     return _CnfSolver(program).solve() is None
 
 
@@ -517,25 +523,8 @@ def _dimacs_name(atom: str) -> str:
 def export_dimacs(program: Program) -> tuple[str, AtomMap]:
     """CNF text for the program: comment lines naming the variables, a
     `p cnf V C` header, then one clause per line in canonical order."""
-    atoms = sorted(program.signature)
-    index = {a: i + 1 for i, a in enumerate(atoms)}
-    amap = AtomMap(var_index=index)
-    solver_lines = []
-    clauses = program.sorted_clauses()
-    for clause in clauses:
-        lits: list[int] = []
-        for h in clause.head:
-            v = index[h.atom]
-            lits.append(v if h.neg % 2 == 0 else -v)
-        for b in clause.body:
-            v = index[b.atom]
-            lits.append(-v if b.neg % 2 == 0 else v)
-        deduped: list[int] = []
-        for lit in lits:
-            if lit not in deduped:
-                deduped.append(lit)
-        solver_lines.append(" ".join(str(l) for l in deduped) + " 0")
+    atoms, index, cnf = _cnf(program)
     lines = [f"c var {index[a]} = {_dimacs_name(a)}" for a in atoms]
-    lines.append(f"p cnf {len(atoms)} {len(clauses)}")
-    lines.extend(solver_lines)
-    return "".join(line + "\n" for line in lines), amap
+    lines.append(f"p cnf {len(atoms)} {len(cnf)}")
+    lines.extend(" ".join(map(str, c)) + " 0" for c in cnf)
+    return "".join(line + "\n" for line in lines), AtomMap(var_index=index)

@@ -8,19 +8,12 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import BoundExceededError
 from .framework import ArgumentationFramework
+from .logic import canonical, check_bound
 
 DEFAULT_SUBSET_BOUND = 20
 
 Extension = frozenset[str]
-
-
-def _check_bound(af: ArgumentationFramework, bound: int) -> None:
-    if len(af.arguments) > bound:
-        raise BoundExceededError(
-            f"framework has {len(af.arguments)} arguments, exceeding the bound of {bound}"
-        )
 
 
 def _subsets(af: ArgumentationFramework):
@@ -30,16 +23,12 @@ def _subsets(af: ArgumentationFramework):
             yield frozenset(combo)
 
 
-def _canonical(sets) -> list[Extension]:
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
-
-
 def enumerate_admissible(
     af: ArgumentationFramework, bound: int = DEFAULT_SUBSET_BOUND
 ) -> list[Extension]:
     """All admissible sets, in canonical order."""
-    _check_bound(af, bound)
-    return _canonical(s for s in _subsets(af) if af.is_admissible(s))
+    check_bound(len(af.arguments), bound, "framework", "arguments")
+    return canonical(s for s in _subsets(af) if af.is_admissible(s))
 
 
 def preferred_oracle(
@@ -47,14 +36,14 @@ def preferred_oracle(
 ) -> list[Extension]:
     """Inclusion-maximal admissible sets by pairwise comparison."""
     admissible = enumerate_admissible(af, bound=bound)
-    return _canonical(s for s in admissible if not any(s < t for t in admissible))
+    return canonical(s for s in admissible if not any(s < t for t in admissible))
 
 
 def stable_oracle(
     af: ArgumentationFramework, bound: int = DEFAULT_SUBSET_BOUND
 ) -> list[Extension]:
     """Conflict-free sets attacking every argument outside them."""
-    _check_bound(af, bound)
+    check_bound(len(af.arguments), bound, "framework", "arguments")
     found = []
     for s in _subsets(af):
         if not af.is_conflict_free(s):
@@ -62,7 +51,7 @@ def stable_oracle(
         outside = af.arguments - s
         if all(any((m, x) in af.attacks for m in s) for x in outside):
             found.append(s)
-    return _canonical(found)
+    return canonical(found)
 
 
 def defeated_arguments(

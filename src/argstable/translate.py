@@ -25,13 +25,6 @@ def defeat_map(af: ArgumentationFramework) -> AtomMap:
     return AtomMap(forward={x: defeat_atom(x) for x in af.arguments})
 
 
-def _attackers(af: ArgumentationFramework) -> dict[str, list[str]]:
-    table: dict[str, list[str]] = {x: [] for x in af.arguments}
-    for source, target in sorted(af.attacks):
-        table[target].append(source)
-    return table
-
-
 def _defeat_signature(af: ArgumentationFramework) -> frozenset[str]:
     return frozenset(defeat_atom(x) for x in af.arguments)
 
@@ -42,7 +35,7 @@ def alpha(af: ArgumentationFramework) -> Program:
     For each attack (b, a): `d(a) :- not d(b)` and `d(a) :- d(c1), ..., d(ck)`
     where the c are the attackers of b; no attackers means an empty body.
     """
-    attackers = _attackers(af)
+    attackers = af.attacker_index
     clauses = set()
     for source, target in af.attacks:
         d_target = Literal(defeat_atom(target))
@@ -59,7 +52,7 @@ def beta(af: ArgumentationFramework) -> Program:
     attack b; with no such c the head is empty, a constraint on a.  Its
     maximal models are the preferred extensions.
     """
-    attackers = _attackers(af)
+    attackers = af.attacker_index
     clauses = set()
     for source, target in af.attacks:
         body = (Literal(target),)
@@ -75,7 +68,7 @@ def gamma(af: ArgumentationFramework) -> Program:
     For each attack (b, a): `d(a) v d(b)` and the defender rule as in `alpha`.
     A self-attack collapses the disjunction to a single head atom.
     """
-    attackers = _attackers(af)
+    attackers = af.attacker_index
     clauses = set()
     for source, target in af.attacks:
         head = tuple(

@@ -1,7 +1,10 @@
 """Shared fixtures: golden frameworks, expected clause sets, random generators
 and the brute-force reference computations the fast paths are tested against."""
 
+import inspect
 import string
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 from argstable import ArgumentationFramework, Clause, Literal, Program, gl_reduct, models
@@ -79,6 +82,25 @@ def random_framework(rng, max_args=7, density=(0.1, 0.9)):
         (x, y) for x in names for y in names if rng.random() < p
     )
     return ArgumentationFramework(frozenset(names), attacks)
+
+
+def mutual_attacks(k):
+    """k disjoint pairs a<i> <-> b<i>: 2k arguments, 2^k preferred extensions."""
+    names = [f"{side}{i}" for i in range(k) for side in "ab"]
+    attacks = [(f"a{i}", f"b{i}") for i in range(k)] + [(f"b{i}", f"a{i}") for i in range(k)]
+    return ArgumentationFramework(frozenset(names), frozenset(attacks))
+
+
+@contextmanager
+def recursion_headroom(frames):
+    """Lower the interpreter's recursion limit to `frames` above the current
+    stack depth inside the block, so a deep recursion fails fast."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def random_program(rng, max_atoms=8, max_clauses=8, negation=True):

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from argstable import SolveReport, cli
 from argstable.cli import main
+from tests.common import mutual_attacks, recursion_headroom
 
 CHAIN_APX = "arg(a).\narg(b).\narg(c).\natt(a,b).\natt(b,c).\n"
 KNOT_APX = (
@@ -72,6 +74,33 @@ class TestSolve:
         assert code == 0
         assert out == "{a}\n{b,d}\n"
         assert err == ""
+
+    def test_cross_check_disagreement(self, run, monkeypatch):
+        monkeypatch.setitem(
+            cli._ENGINES, "gamma", lambda af, bound: SolveReport("gamma", (), {})
+        )
+        code, out, err = run(["solve", "--cross-check"], text=KNOT_APX)
+        assert code == 4
+        assert out == ""
+        assert err.splitlines() == [
+            "argstable: alpha: {a} {b,d}",
+            "argstable: gamma: (none)",
+            "argstable: lambda: {a} {b,d}",
+            "argstable: oracle: {a} {b,d}",
+            "argstable: error: engines disagree",
+        ]
+
+    def test_solver_recursion_limit_exits_2(self, run):
+        with recursion_headroom(150):
+            code, out, err = run(
+                ["solve", "--engine", "alpha"],
+                text=mutual_attacks(400).to_apx(),
+                env={"ARGSTABLE_BOUND": "10000"},
+            )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("argstable: error: ")
+        assert "recursion limit" in err and "Traceback" not in err
 
     def test_empty_framework(self, run):
         code, out, _ = run(["solve"], text="")

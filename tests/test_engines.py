@@ -5,6 +5,7 @@ import pytest
 
 from argstable import (
     ArgumentationFramework,
+    BoundExceededError,
     check_preferred_consequence,
     check_preferred_unsat,
     decode,
@@ -30,7 +31,9 @@ from tests.common import (
     KNOT_LAMBDA_STABLE,
     NO_ATTACKS,
     SELF_ATTACK,
+    mutual_attacks,
     random_framework,
+    recursion_headroom,
     subsets_of,
 )
 
@@ -245,3 +248,11 @@ class TestDeterminism:
         )
         for engine in ENGINES:
             assert engine(af).extensions == (frozenset({"x"}), frozenset({"y"}))
+
+
+def test_solver_recursion_limit_is_a_bound():
+    # 400 independent choices need about 400 nested decisions in the solver.
+    af = mutual_attacks(400)
+    with recursion_headroom(150):
+        with pytest.raises(BoundExceededError, match="recursion limit"):
+            preferred_via_alpha(af, bound=10_000)

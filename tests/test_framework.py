@@ -191,3 +191,12 @@ def test_unattacked_arguments_acceptable_wrt_empty_set(af):
     for x in af.arguments:
         if not af.attackers(x):
             assert af.is_acceptable(x, frozenset())
+
+
+@settings(deadline=None, max_examples=80)
+@given(frameworks())
+def test_attacker_index_matches_attacks(af):
+    for x in af.arguments:
+        expected = {s for s, t in af.attacks if t == x}
+        assert af.attackers(x) == expected
+        assert af.attacker_index[x] == tuple(sorted(expected))
