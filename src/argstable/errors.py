@@ -15,5 +15,4 @@ class UnknownArgumentError(ValueError):
 
 
 class BoundExceededError(Exception):
-    """An exhaustive computation was asked to go beyond its configured bound,
-    or the solver's search ran deeper than the interpreter's recursion limit."""
+    """An exhaustive computation was asked to go beyond its configured bound."""

@@ -13,7 +13,6 @@ its clauses.  Exhaustive operations refuse signatures beyond `bound`.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -200,6 +199,11 @@ def models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpret
     return canonical(found)
 
 
+def _int_literal(index: Mapping[str, int], literal: Literal) -> int:
+    """The integer image of a literal: its atom's number, negated at odd depth."""
+    return index[literal.atom] if literal.neg % 2 == 0 else -index[literal.atom]
+
+
 def _cnf(program: Program) -> tuple[list[str], dict[str, int], list[list[int]]]:
     """The integer CNF image of a program, shared by the solver and the DIMACS
     export: the signature sorted and numbered from 1, then one integer clause
@@ -209,47 +213,30 @@ def _cnf(program: Program) -> tuple[list[str], dict[str, int], list[list[int]]]:
     index = {a: i + 1 for i, a in enumerate(atoms)}
     cnf = []
     for clause in program.sorted_clauses():
-        lits: list[int] = []
-        for h in clause.head:
-            lit = index[h.atom] if h.neg % 2 == 0 else -index[h.atom]
-            if lit not in lits:
-                lits.append(lit)
-        for b in clause.body:
-            lit = -index[b.atom] if b.neg % 2 == 0 else index[b.atom]
-            if lit not in lits:
-                lits.append(lit)
-        cnf.append(lits)
+        lits = [_int_literal(index, h) for h in clause.head]
+        lits += [-_int_literal(index, b) for b in clause.body]
+        cnf.append(list(dict.fromkeys(lits)))
     return atoms, index, cnf
 
 
 class _CnfSolver:
-    """Tiny DPLL over the integer CNF image of a program.
-
-    Extra integer clauses can be layered on a solve call; that is how the
-    shrink/grow/block loops are expressed.
+    """The one solver: an iterative DPLL (`_dpll`) over the integer CNF image
+    of a program, queried under assumptions.  `solve` takes unit assumptions
+    and clauses for that call only; clauses appended to `clauses` hold for
+    every later call, which is how the shrink/grow/block loops are expressed.
     """
 
     def __init__(self, program: Program):
-        self.atoms, self.index, self.base = _cnf(program)
+        self.atoms, self.index, self.clauses = _cnf(program)
 
     def solve(
-        self, extra: Sequence[Sequence[int]] = (), default: bool = False
+        self, assume: Iterable[int] = (), extra: Sequence[Sequence[int]] = (), default: bool = False
     ) -> Interpretation | None:
-        cnf = self.base + [list(c) for c in extra]
-        try:
-            assignment = _dpll(cnf, {})
-        except RecursionError:
-            # _dpll recurses once per decision, so a wide enough program runs
-            # past the interpreter's stack before any atom-count bound trips.
-            raise BoundExceededError(
-                f"program signature has {len(self.atoms)} atoms, too many decisions"
-                f" for the solver's recursion limit of {sys.getrecursionlimit()}"
-            ) from None
-        if assignment is None:
+        value = _dpll(self.clauses + list(extra), len(self.atoms), assume)
+        if value is None:
             return None
-        return frozenset(
-            a for a in self.atoms if assignment.get(self.index[a], default)
-        )
+        # atoms are numbered 1.. in order; one the search left free takes `default`
+        return frozenset(a for a, v in zip(self.atoms, value[1:]) if (default if v is None else v))
 
     def not_superset_of(self, s: Interpretation) -> list[int]:
         return [-self.index[a] for a in sorted(s)]
@@ -257,63 +244,75 @@ class _CnfSolver:
     def not_subset_of(self, s: Interpretation) -> list[int]:
         return [self.index[a] for a in sorted(set(self.atoms) - set(s))]
 
-    def strictly_below(self, s: Interpretation) -> list[list[int]]:
-        outside = [[-self.index[a]] for a in self.atoms if a not in s]
-        return outside + [self.not_superset_of(s)]
+    def strictly_below(self, s: Interpretation) -> tuple[list[int], list[int]]:
+        return [-self.index[a] for a in self.atoms if a not in s], self.not_superset_of(s)
 
-    def strictly_above(self, s: Interpretation) -> list[list[int]]:
-        inside = [[self.index[a]] for a in sorted(s)]
-        return inside + [self.not_subset_of(s)]
+    def strictly_above(self, s: Interpretation) -> tuple[list[int], list[int]]:
+        return [self.index[a] for a in sorted(s)], self.not_subset_of(s)
 
 
-def _dpll(cnf: list[list[int]], assignment: dict[int, bool]) -> dict[int, bool] | None:
+def _dpll(cnf: Sequence[Sequence[int]], variables: int, assume: Iterable[int]) -> list | None:
+    """Chronological backtracking over an explicit trail.  Returns the value
+    of every literal in a model (None if left free), or None if there is none.
+
+    `value` is indexed by literal, -v landing at slot 2 * variables + 1 - v.
+    Unit propagation runs whole passes until one assigns nothing; that pass
+    also picks the decision: the first unassigned literal's variable in the
+    first clause not yet satisfied, tried true, then false."""
+    value: list[bool | None] = [None] * (2 * variables + 1)
+    for lit in assume:
+        if value[lit] is False:
+            return None
+        value[lit], value[-lit] = True, False
+    trail: list[int] = []
+    # (trail length before the decision, decision literal); a positive
+    # literal still has its false branch to try.
+    decisions: list[tuple[int, int]] = []
     while True:
-        unit = None
-        for clause in cnf:
-            satisfied = False
-            unassigned: list[int] = []
-            for lit in clause:
-                value = assignment.get(abs(lit))
-                if value is None:
-                    unassigned.append(lit)
-                elif (lit > 0) == value:
-                    satisfied = True
+        conflict = False
+        changed = True
+        while changed and not conflict:
+            changed = False
+            branch = 0
+            for clause in cnf:
+                free = unassigned = 0
+                for lit in clause:
+                    v = value[lit]
+                    if v is None:
+                        if not unassigned:
+                            free = lit
+                        unassigned += 1
+                    elif v:
+                        break
+                else:
+                    if not unassigned:
+                        conflict = True
+                        break
+                    if unassigned == 1:
+                        value[free], value[-free] = True, False
+                        trail.append(free)
+                        changed = True
+                    elif not branch:
+                        branch = abs(free)
+        if conflict:
+            while decisions:
+                mark, lit = decisions.pop()
+                for undone in trail[mark:]:
+                    value[undone] = value[-undone] = None
+                del trail[mark:]
+                if lit > 0:
+                    decisions.append((mark, -lit))
+                    value[-lit], value[lit] = True, False
+                    trail.append(-lit)
                     break
-            if satisfied:
-                continue
-            if not unassigned:
+            else:
                 return None
-            if len(unassigned) == 1:
-                unit = unassigned[0]
-                break
-        if unit is None:
-            break
-        assignment[abs(unit)] = unit > 0
-
-    branch_var = None
-    for clause in cnf:
-        satisfied = False
-        candidate = None
-        for lit in clause:
-            value = assignment.get(abs(lit))
-            if value is None:
-                if candidate is None:
-                    candidate = abs(lit)
-            elif (lit > 0) == value:
-                satisfied = True
-                break
-        if not satisfied and candidate is not None:
-            branch_var = candidate
-            break
-    if branch_var is None:
-        return assignment
-    for value in (True, False):
-        trial = dict(assignment)
-        trial[branch_var] = value
-        result = _dpll(cnf, trial)
-        if result is not None:
-            return result
-    return None
+        elif branch:
+            decisions.append((len(trail), branch))
+            value[branch], value[-branch] = True, False
+            trail.append(branch)
+        else:
+            return value
 
 
 def _extremal_models(program: Program, bound: int, maximal: bool) -> list[Interpretation]:
@@ -327,19 +326,19 @@ def _extremal_models(program: Program, bound: int, maximal: bool) -> list[Interp
         beyond, block = solver.strictly_above, solver.not_subset_of
     else:
         beyond, block = solver.strictly_below, solver.not_superset_of
-    blocked: list[list[int]] = []
     found: list[Interpretation] = []
     while True:
-        model = solver.solve(blocked, default=maximal)
+        model = solver.solve(default=maximal)
         if model is None:
             break
         while True:
-            better = solver.solve(blocked + beyond(model), default=maximal)
+            assume, clause = beyond(model)
+            better = solver.solve(assume, [clause], default=maximal)
             if better is None:
                 break
             model = better
         found.append(model)
-        blocked.append(block(model))
+        solver.clauses.append(block(model))
     return canonical(found)
 
 
@@ -358,28 +357,27 @@ def is_unsatisfiable(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> bool
     return _CnfSolver(program).solve() is None
 
 
-def _negation_clauses(clause: Clause) -> list[Clause]:
-    # not (H :- B) is equivalent to: every body literal holds, every head literal fails
-    asserted = [Clause(head=(b.simplified(),)) for b in clause.body]
-    denied = [Clause(head=(h.negate().simplified(),)) for h in clause.head]
-    return asserted + denied
-
-
 def entails(
     program: Program,
     conjunction: Clause | Iterable[Clause],
     bound: int = DEFAULT_MODEL_BOUND,
 ) -> bool:
-    """Logical consequence of a conjunction of clauses, one UNSAT query each."""
+    """Logical consequence of a conjunction of clauses: one solver over the
+    program, one UNSAT query per goal under the goal's negation."""
     goals = [conjunction] if isinstance(conjunction, Clause) else list(conjunction)
+    solver = None
     for goal in goals:
         stray = goal.atoms() - program.signature
         if stray:
             raise ValueError(f"goal atoms outside the signature: {sorted(stray)}")
-        refutation = Program(
-            program.clauses | frozenset(_negation_clauses(goal)), program.signature
-        )
-        if not is_unsatisfiable(refutation, bound=bound):
+        if solver is None:
+            check_bound(len(program.signature), bound, "program signature")
+            solver = _CnfSolver(program)
+        # not (H :- B) holds exactly when every body literal holds and every
+        # head literal fails
+        denial = [_int_literal(solver.index, b) for b in goal.body]
+        denial += [-_int_literal(solver.index, h) for h in goal.head]
+        if solver.solve(denial) is not None:
             return False
     return True
 
@@ -413,11 +411,6 @@ def gl_reduct(program: Program, s: Interpretation) -> Program:
     return result
 
 
-def _has_model_strictly_below(program: Program, s: Interpretation) -> bool:
-    solver = _CnfSolver(program)
-    return solver.solve(solver.strictly_below(s), default=False) is not None
-
-
 def stable_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
     """All sets that are minimal models of their own reduct.
 
@@ -430,7 +423,11 @@ def stable_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[In
     found = []
     for candidate in minimal_models(program, bound=bound):
         reduct = gl_reduct(program, candidate)
-        if is_model(reduct, candidate) and not _has_model_strictly_below(reduct, candidate):
+        if not is_model(reduct, candidate):
+            continue
+        solver = _CnfSolver(reduct)
+        assume, clause = solver.strictly_below(candidate)
+        if solver.solve(assume, [clause]) is None:
             found.append(candidate)
     return found
 

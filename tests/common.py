@@ -91,6 +91,14 @@ def mutual_attacks(k):
     return ArgumentationFramework(frozenset(names), frozenset(attacks))
 
 
+def odd_cycles(k):
+    """k disjoint 3-cycles a<i> -> b<i> -> c<i> -> a<i>: 3k arguments, whose one
+    preferred extension is empty."""
+    names = [f"{side}{i}" for i in range(k) for side in "abc"]
+    attacks = [(f"{s}{i}", f"{t}{i}") for i in range(k) for s, t in ("ab", "bc", "ca")]
+    return ArgumentationFramework(frozenset(names), frozenset(attacks))
+
+
 @contextmanager
 def recursion_headroom(frames):
     """Lower the interpreter's recursion limit to `frames` above the current

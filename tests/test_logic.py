@@ -441,6 +441,39 @@ def test_cnf_encoding_has_exactly_the_models(p):
     assert maximal_models(p) == brute_maximal(expected)
 
 
+@st.composite
+def programs_with_goals(draw):
+    """A program from `programs` and one to three goals over its signature,
+    constraints included; small atom pools make tautologies such as
+    `p0 :- p0` and atoms on both sides of a goal common."""
+    p = draw(programs())
+    literals = st.builds(Literal, st.sampled_from(sorted(p.signature)), st.integers(0, 3))
+    goals = []
+    for _ in range(draw(st.integers(1, 3))):
+        head = draw(st.lists(literals, max_size=3))
+        body = draw(st.lists(literals, min_size=0 if head else 1, max_size=3))
+        goals.append(Clause(tuple(head), tuple(body)))
+    return p, goals
+
+
+@settings(deadline=None, max_examples=150)
+@example((
+    Program.of([clause(["p0"], [Literal("p1", 1)])], signature={"p0", "p1"}),
+    [
+        clause(["p0"], ["p0"]),
+        clause([], [Literal("p0", 1), Literal("p1", 1)]),
+        clause([Literal("p1", 2)], [Literal("p1", 3)]),
+    ],
+))
+@given(programs_with_goals())
+def test_entails_agrees_with_models(case):
+    p, goals = case
+    everything = models(p)
+    expected = [all(evaluate(m, g) for m in everything) for g in goals]
+    assert [entails(p, g) for g in goals] == expected
+    assert entails(p, goals) == all(expected)
+
+
 class TestAtomMap:
     def test_round_trip(self):
         amap = AtomMap({"a": "d(a)"}, {"d(a)": 1})
