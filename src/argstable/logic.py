@@ -365,7 +365,7 @@ def entails(
     """Logical consequence of a conjunction of clauses: one solver over the
     program, one UNSAT query per goal under the goal's negation."""
     goals = [conjunction] if isinstance(conjunction, Clause) else list(conjunction)
-    solver = None
+    solver = None  # built at the first goal: an empty conjunction needs no bound
     for goal in goals:
         stray = goal.atoms() - program.signature
         if stray:
