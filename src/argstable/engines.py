@@ -49,7 +49,7 @@ class QueryVerdict:
     evidence: Interpretation | None
 
 
-def _report(engine: str, af: ArgumentationFramework, pairs) -> SolveReport:
+def _report(engine: str, pairs) -> SolveReport:
     witnesses = {extension: model for extension, model in pairs}
     extensions = tuple(canonical(witnesses))
     return SolveReport(engine, extensions, witnesses)
@@ -60,7 +60,7 @@ def preferred_via_alpha(
 ) -> SolveReport:
     """Preferred extensions read off the minimal models of the defeat theory."""
     found = minimal_models(alpha(af), bound=bound)
-    return _report("alpha", af, ((decode(af, m), m) for m in found))
+    return _report("alpha", ((decode(af, m), m) for m in found))
 
 
 def preferred_via_gamma(
@@ -68,7 +68,7 @@ def preferred_via_gamma(
 ) -> SolveReport:
     """Preferred extensions read off the stable models of the disjunctive program."""
     found = stable_models(gamma(af), bound=bound)
-    return _report("gamma", af, ((decode(af, m), m) for m in found))
+    return _report("gamma", ((decode(af, m), m) for m in found))
 
 
 def preferred_via_lambda(
@@ -77,7 +77,7 @@ def preferred_via_lambda(
     """Preferred extensions listed directly inside the stable models of the
     program with acceptance rules."""
     found = stable_models(lambda_(af), bound=bound)
-    return _report("lambda", af, ((m & af.arguments, m) for m in found))
+    return _report("lambda", ((m & af.arguments, m) for m in found))
 
 
 def _denied_members(af: ArgumentationFramework, members):
@@ -144,11 +144,9 @@ def query(
     the lexicographically first qualifying stable model."""
     if argument not in af.arguments:
         raise UnknownArgumentError(f"unknown argument: {argument!r}")
-    found = canonical(stable_models(lambda_(af), bound=bound))
-    if mode == "brave":
-        hits = [m for m in found if argument in m]
-        return QueryVerdict("brave", bool(hits), hits[0] if hits else None)
-    if mode == "cautious":
-        misses = [m for m in found if argument not in m]
-        return QueryVerdict("cautious", not misses, misses[0] if misses else None)
-    raise ValueError(f"unknown query mode: {mode!r}")
+    if mode not in ("brave", "cautious"):
+        raise ValueError(f"unknown query mode: {mode!r}")
+    brave = mode == "brave"
+    # brave asks for a model with the argument, cautious for one without it
+    hits = [m for m in stable_models(lambda_(af), bound=bound) if (argument in m) == brave]
+    return QueryVerdict(mode, bool(hits) == brave, hits[0] if hits else None)

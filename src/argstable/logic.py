@@ -414,21 +414,23 @@ def gl_reduct(program: Program, s: Interpretation) -> Program:
 def stable_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
     """All sets that are minimal models of their own reduct.
 
-    Candidates are drawn from the classical minimal models: any stable model
-    is one, since a smaller classical model would also model the reduct.  The
-    reduct condition is then checked per candidate.
-    """
+    Candidates are the classical minimal models M of P: a smaller model of P
+    would model P^M too.  M models P^M, as each kept clause had its stripped
+    `not b` true under M, and a constraint stripped bare would be false under
+    M.  If no atom of M occurs under `not`, P^M and P agree on the subsets of
+    M, so M is stable, as is every candidate of a positive program; otherwise
+    the reduct tests whether a model of P^M lies strictly below M."""
     if not program.is_general():
         raise ValueError("stable models require a general program")
+    negated = frozenset(b.atom for c in program.clauses for b in c.body if b.neg)
     found = []
     for candidate in minimal_models(program, bound=bound):
-        reduct = gl_reduct(program, candidate)
-        if not is_model(reduct, candidate):
-            continue
-        solver = _CnfSolver(reduct)
-        assume, clause = solver.strictly_below(candidate)
-        if solver.solve(assume, [clause]) is None:
-            found.append(candidate)
+        if not negated.isdisjoint(candidate):
+            solver = _CnfSolver(gl_reduct(program, candidate))
+            assume, clause = solver.strictly_below(candidate)
+            if solver.solve(assume, [clause]) is not None:
+                continue
+        found.append(candidate)
     return found
 
 

@@ -3,15 +3,19 @@ import random
 
 import pytest
 
+import argstable.engines
+import argstable.logic
 from argstable import (
     ArgumentationFramework,
     check_preferred_consequence,
     check_preferred_unsat,
+    compl,
     decode,
     gl_reduct,
     is_minimal_model_by_consequence,
     is_model,
     is_unsatisfiable,
+    lambda_,
     models,
     preferred_oracle,
     preferred_via_alpha,
@@ -22,7 +26,8 @@ from argstable import (
     stable_fragment,
     stable_models,
 )
-from argstable.translate import alpha
+from argstable.logic import canonical
+from argstable.translate import alpha, gamma
 from tests.common import (
     EMPTY,
     CHAIN,
@@ -98,7 +103,6 @@ class TestWitnesses:
         rng = random.Random(19)
         for _ in range(10):
             af = random_framework(rng, max_args=5)
-            from argstable.translate import gamma
             program = gamma(af)
             for witness in preferred_via_gamma(af).witnesses.values():
                 reduct = gl_reduct(program, witness)
@@ -197,14 +201,31 @@ class TestQuery:
         with pytest.raises(ValueError):
             query(CHAIN, "a", "plausible")
 
+    def test_unknown_mode_is_rejected_before_enumerating(self, monkeypatch):
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("stable models enumerated for an unknown mode")
+
+        monkeypatch.setattr(argstable.engines, "stable_models", enumerate_nothing)
+        with pytest.raises(ValueError, match="unknown query mode"):
+            query(CHAIN, "a", "plausible")
+
     def test_matches_oracle(self):
         rng = random.Random(37)
-        for _ in range(15):
-            af = random_framework(rng, max_args=5)
+        # The evidence is the first qualifying model in canonical order.  Few
+        # small random frameworks have two qualifying extensions, so two
+        # fixed ones with many extensions pin that order.
+        fixed = [KNOT, mutual_attacks(3)]
+        for af in fixed + [random_framework(rng, max_args=5) for _ in range(15)]:
             preferred = preferred_oracle(af)
+            ordered = canonical(e | compl(af, e) for e in preferred)
             for x in sorted(af.arguments):
-                assert query(af, x, "brave").holds == any(x in s for s in preferred)
-                assert query(af, x, "cautious").holds == all(x in s for s in preferred)
+                brave, cautious = query(af, x, "brave"), query(af, x, "cautious")
+                hits = [m for m in ordered if x in m]
+                misses = [m for m in ordered if x not in m]
+                assert brave.holds == any(x in s for s in preferred)
+                assert brave.evidence == (hits[0] if hits else None)
+                assert cautious.holds == all(x in s for s in preferred)
+                assert cautious.evidence == (misses[0] if misses else None)
 
 
 class TestAgainstOracle:
@@ -225,6 +246,24 @@ class TestAgainstOracle:
                 expected = frozenset(members) in preferred
                 assert check_preferred_unsat(af, members).holds == expected
                 assert check_preferred_consequence(af, members) == expected
+
+    def test_lambda_stable_models_are_extensions_with_their_complements(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            af = random_framework(rng, max_args=6)
+            expected = canonical(e | compl(af, e) for e in preferred_oracle(af))
+            assert stable_models(lambda_(af)) == expected
+
+    def test_positive_programs_build_no_reduct(self, monkeypatch):
+        def no_reduct(*args, **kwargs):
+            raise AssertionError("reduct built for a program without negation")
+
+        monkeypatch.setattr(argstable.logic, "gl_reduct", no_reduct)
+        assert stable_models(gamma(KNOT)) == KNOT_GAMMA_STABLE
+        rng = random.Random(61)
+        for _ in range(40):
+            af = random_framework(rng, max_args=6)
+            assert preferred_via_gamma(af).extensions == tuple(preferred_oracle(af))
 
     def test_stable_fragment_matches_stable_oracle(self):
         rng = random.Random(53)

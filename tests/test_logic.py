@@ -279,6 +279,42 @@ class TestStableModels:
             assert stable_models(p) == brute_stable(p)
 
 
+_pool = st.sampled_from([f"p{i}" for i in range(7)])
+
+
+@st.composite
+def general_programs(draw):
+    """General programs over at most seven atoms: heads at negation depth 0,
+    bodies at depth at most 1, constraints and disjunctive heads included,
+    over a signature that may declare unused atoms."""
+    clauses = []
+    for _ in range(draw(st.integers(1, 6))):
+        head = draw(st.lists(st.builds(Literal, _pool), max_size=3))
+        body_literals = st.builds(Literal, _pool, st.integers(0, 1))
+        body = draw(st.lists(body_literals, min_size=0 if head else 1, max_size=3))
+        clauses.append(Clause(tuple(head), tuple(body)))
+    occurring = {l.atom for c in clauses for l in c.head + c.body}
+    return Program.of(clauses, signature=occurring | draw(st.frozensets(_pool)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(general_programs())
+def test_minimal_models_model_their_reduct(p):
+    for m in minimal_models(p):
+        assert is_model(gl_reduct(p, m), m)
+
+
+# `b :- not a` has the stable model {b}, which avoids the negated atom a,
+# and the minimal model {a}, which the reduct rejects.
+@settings(deadline=None, max_examples=100)
+@example(FOUR_RULE_PROGRAM)
+@example(alpha(SELF_ATTACK))
+@example(Program.of([clause(["b"], [Literal("a", 1)])]))
+@given(general_programs())
+def test_stable_models_match_brute_force(p):
+    assert stable_models(p) == brute_stable(p)
+
+
 class TestGTransform:
     def test_chain_intermediate(self):
         mapped = g_transform(beta(CHAIN), defeat_map(CHAIN))
