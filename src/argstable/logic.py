@@ -101,6 +101,15 @@ class Clause:
         return f"{head_text} :- {body_text}."
 
 
+def _clause_key(clause: Clause) -> tuple:
+    # each literal contributes its atom and its depth, so comparing the flat
+    # tuples compares literal by literal, and a proper prefix sorts first
+    return (
+        tuple([x for l in clause.head for x in (l.atom, l.neg)]),
+        tuple([x for l in clause.body for x in (l.atom, l.neg)]),
+    )
+
+
 @dataclass(frozen=True)
 class Program:
     """A finite clause set with an explicit signature."""
@@ -126,7 +135,11 @@ class Program:
         return frozenset(a for c in self.clauses for a in c.atoms())
 
     def sorted_clauses(self) -> list[Clause]:
-        return sorted(self.clauses)
+        """The clauses in canonical order, the one `Clause`'s generated
+        comparisons define: by head, then by body, literal by literal, each
+        literal by atom and then negation depth.  A key of plain tuples gives
+        that order without a generated `__lt__` call per comparison."""
+        return sorted(self.clauses, key=_clause_key)
 
     def is_general(self) -> bool:
         return all(c.is_general() for c in self.clauses)
@@ -220,23 +233,73 @@ def _cnf(program: Program) -> tuple[list[str], dict[str, int], list[list[int]]]:
 
 
 class _CnfSolver:
-    """The one solver: an iterative DPLL (`_dpll`) over the integer CNF image
-    of a program, queried under assumptions.  `solve` takes unit assumptions
-    and clauses for that call only; clauses appended to `clauses` hold for
-    every later call, which is how the shrink/grow/block loops are expressed.
+    """The one solver, over the integer CNF image of a program: conflict-driven
+    clause learning after MiniSat (Eén & Sörensson, "An Extensible
+    SAT-solver", SAT 2003), with two watched literals per clause (Moskewicz et
+    al., "Chaff", DAC 2001).
+
+    Clauses given to `add` hold for every later call, which is how the
+    shrink/grow/block loops are expressed.  `solve` makes its assumptions the
+    first decisions and attaches its `extra` clauses for that call only.  Each
+    conflict is analysed to its first unique implication point; the learned
+    clause sends the search back to the highest decision level among its
+    other literals.  What a call learns outlives it only if the call had no
+    `extra` clauses: assumptions are decisions, so no learned clause rests on
+    them, and one resolved from added clauses alone follows from every later
+    clause set.  A learned unit is asserted at level 0 and is undone, like
+    every other assignment of the call, when the call returns.
     """
 
     def __init__(self, program: Program):
-        self.atoms, self.index, self.clauses = _cnf(program)
+        self.atoms, self.index, cnf = _cnf(program)
+        size = 2 * len(self.atoms) + 1
+        # indexed by literal, -v landing at slot 2 * len(atoms) + 1 - v
+        self.value: list[bool | None] = [None] * size
+        # watches[l]: the clauses whose first two literals include l, visited
+        # when l becomes false
+        self.watches: list[list[list[int]]] = [[] for _ in range(size)]
+        # indexed by variable: decision level and implying clause of its value
+        self.level = [0] * (len(self.atoms) + 1)
+        self.reason: list[list[int] | None] = [None] * (len(self.atoms) + 1)
+        self.trail: list[int] = []
+        self.limits: list[int] = []  # trail length at each decision
+        self.head = 0  # the trail before `head` has been propagated
+        self.free = 1  # every variable below `free` has a value
+        self.unsat = False  # the clauses added so far have no model
+        for clause in cnf:
+            self.unsat = self.unsat or not self._attach(clause)
+
+    def add(self, clause: Sequence[int]) -> None:
+        """Add a clause for every later call."""
+        self.unsat = self.unsat or not self._attach(list(dict.fromkeys(clause)))
 
     def solve(
         self, assume: Iterable[int] = (), extra: Sequence[Sequence[int]] = (), default: bool = False
     ) -> Interpretation | None:
-        value = _dpll(self.clauses + list(extra), len(self.atoms), assume)
-        if value is None:
+        """A model of the clauses added so far, the `extra` clauses and the
+        assumed literals, or None if there is none.  Each decision gives the
+        lowest unassigned variable the value `default`, so no atom is left
+        free: the first model found leans towards the minimal (False) or
+        maximal (True) ones."""
+        if self.unsat or self._propagate() is not None:
+            self.unsat = True
             return None
-        # atoms are numbered 1.. in order; one the search left free takes `default`
-        return frozenset(a for a, v in zip(self.atoms, value[1:]) if (default if v is None else v))
+        base = len(self.trail)
+        temporary = [list(dict.fromkeys(c)) for c in extra]
+        learned: list[list[int]] = []
+        try:
+            if not all(self._attach(c) for c in temporary):
+                return None
+            return self._search(list(assume), default, learned)
+        finally:
+            if temporary:
+                temporary += learned  # what was learned may rest on them
+            del self.limits[:]
+            self._undo(base)
+            dead = {id(c) for c in temporary}
+            watched = {l for c in temporary for l in c[:2]}
+            for lit in watched:
+                self.watches[lit] = [c for c in self.watches[lit] if id(c) not in dead]
 
     def not_superset_of(self, s: Interpretation) -> list[int]:
         return [-self.index[a] for a in sorted(s)]
@@ -250,76 +313,159 @@ class _CnfSolver:
     def strictly_above(self, s: Interpretation) -> tuple[list[int], list[int]]:
         return [self.index[a] for a in sorted(s)], self.not_subset_of(s)
 
+    def _attach(self, clause: list[int]) -> bool:
+        """Watch a clause before the first decision; False if the assignment
+        already falsifies it.  A clause with one literal not false forces it."""
+        value = self.value
+        if len(clause) > 1 and (value[clause[0]] is False or value[clause[1]] is False):
+            clause.sort(key=lambda lit: value[lit] is False)
+        if not clause or value[clause[0]] is False:
+            return False
+        if len(clause) > 1:
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
+        if value[clause[0]] is None and (len(clause) == 1 or value[clause[1]] is False):
+            self._assign(clause[0], clause)
+        return True
 
-def _dpll(cnf: Sequence[Sequence[int]], variables: int, assume: Iterable[int]) -> list | None:
-    """Chronological backtracking over an explicit trail.  Returns the value
-    of every literal in a model (None if left free), or None if there is none.
+    def _assign(self, lit: int, reason: list[int] | None) -> None:
+        self.value[lit], self.value[-lit] = True, False
+        v = abs(lit)
+        self.level[v], self.reason[v] = len(self.limits), reason
+        self.trail.append(lit)
 
-    `value` is indexed by literal, -v landing at slot 2 * variables + 1 - v.
-    Unit propagation runs whole passes until one assigns nothing; that pass
-    also picks the decision: the first unassigned literal's variable in the
-    first clause not yet satisfied, tried true, then false."""
-    value: list[bool | None] = [None] * (2 * variables + 1)
-    for lit in assume:
-        if value[lit] is False:
-            return None
-        value[lit], value[-lit] = True, False
-    trail: list[int] = []
-    # (trail length before the decision, decision literal); a positive
-    # literal still has its false branch to try.
-    decisions: list[tuple[int, int]] = []
-    while True:
-        conflict = False
-        changed = True
-        while changed and not conflict:
-            changed = False
-            branch = 0
-            for clause in cnf:
-                free = unassigned = 0
-                for lit in clause:
-                    v = value[lit]
-                    if v is None:
-                        if not unassigned:
-                            free = lit
-                        unassigned += 1
-                    elif v:
+    def _undo(self, mark: int) -> None:
+        """Unassign the trail from `mark` on."""
+        value, free = self.value, self.free
+        for lit in self.trail[mark:]:
+            value[lit] = value[-lit] = None
+            v = lit if lit > 0 else -lit
+            if v < free:
+                free = v
+        self.free = free
+        del self.trail[mark:]
+        self.head = min(self.head, mark)
+
+    def _propagate(self) -> list[int] | None:
+        """Unit propagation over the watch lists; returns a falsified clause.
+        The literal a clause implies is moved to its front."""
+        value, watches, trail = self.value, self.watches, self.trail
+        level, reason = self.level, self.reason
+        depth = len(self.limits)
+        head = self.head
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            watching = watches[false_lit]
+            kept = []
+            for i, clause in enumerate(watching):
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0], clause[1] = first, false_lit
+                if value[first]:
+                    kept.append(clause)
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] is not False:
+                        clause[1], clause[k] = lit, false_lit
+                        watches[lit].append(clause)
                         break
                 else:
-                    if not unassigned:
-                        conflict = True
-                        break
-                    if unassigned == 1:
-                        value[free], value[-free] = True, False
-                        trail.append(free)
-                        changed = True
-                    elif not branch:
-                        branch = abs(free)
-        if conflict:
-            while decisions:
-                mark, lit = decisions.pop()
-                for undone in trail[mark:]:
-                    value[undone] = value[-undone] = None
-                del trail[mark:]
-                if lit > 0:
-                    decisions.append((mark, -lit))
-                    value[-lit], value[lit] = True, False
-                    trail.append(-lit)
-                    break
+                    kept.append(clause)
+                    if value[first] is False:
+                        kept.extend(watching[i + 1:])
+                        watches[false_lit] = kept
+                        self.head = len(trail)
+                        return clause
+                    value[first], value[-first] = True, False
+                    v = first if first > 0 else -first
+                    level[v], reason[v] = depth, clause
+                    trail.append(first)
+            watches[false_lit] = kept
+        self.head = head
+        return None
+
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        """The first-UIP clause of a conflict, its asserting literal first and
+        a literal of the backjump level second, and that level."""
+        level, reason, trail = self.level, self.reason, self.trail
+        depth = len(self.limits)
+        seen = set()
+        learned = [0]
+        pending = 0
+        index = len(trail)
+        clause, start = conflict, 0
+        while True:
+            for q in clause[start:]:
+                v = q if q > 0 else -q
+                if v not in seen and level[v]:
+                    seen.add(v)
+                    if level[v] == depth:
+                        pending += 1
+                    else:
+                        learned.append(q)
+            index -= 1
+            while abs(trail[index]) not in seen:
+                index -= 1
+            lit = trail[index]
+            pending -= 1
+            if not pending:
+                break
+            # a reason clause starts with the literal it implied
+            clause, start = reason[abs(lit)], 1
+        learned[0] = -lit
+        if len(learned) == 1:
+            return learned, 0
+        top = max(range(1, len(learned)), key=lambda k: level[abs(learned[k])])
+        learned[1], learned[top] = learned[top], learned[1]
+        return learned, level[abs(learned[1])]
+
+    def _backtrack(self, depth: int) -> None:
+        if len(self.limits) > depth:
+            self._undo(self.limits[depth])
+            del self.limits[depth:]
+
+    def _search(self, assume: list[int], default: bool, learned: list[list[int]]) -> Interpretation | None:
+        value, limits, variables = self.value, self.limits, len(self.atoms)
+        while True:
+            conflict = self._propagate()
+            if conflict is not None:
+                if not limits:
+                    return None
+                clause, back = self._analyze(conflict)
+                self._backtrack(back)
+                learned.append(clause)
+                if len(clause) > 1:
+                    self.watches[clause[0]].append(clause)
+                    self.watches[clause[1]].append(clause)
+                self._assign(clause[0], clause)
+            elif len(limits) < len(assume):
+                # the assumptions are the first decisions, one level each
+                lit = assume[len(limits)]
+                if value[lit] is False:
+                    return None
+                limits.append(len(self.trail))
+                if value[lit] is None:
+                    self._assign(lit, None)
             else:
-                return None
-        elif branch:
-            decisions.append((len(trail), branch))
-            value[branch], value[-branch] = True, False
-            trail.append(branch)
-        else:
-            return value
+                v = self.free
+                while v <= variables and value[v] is not None:
+                    v += 1
+                self.free = v
+                if v > variables:
+                    return frozenset(a for a, x in zip(self.atoms, value[1:]) if x)
+                limits.append(len(self.trail))
+                self._assign(v if default else -v, None)
 
 
 def _extremal_models(program: Program, bound: int, maximal: bool) -> list[Interpretation]:
     """Find a model, improve it by re-solving under strict-subset (or
     superset) constraints until none remains, emit it, then block every
-    superset (or subset) of it and repeat.  Unconstrained atoms default to
-    the direction of the search."""
+    superset (or subset) of it and repeat.  Decisions set atoms in the
+    direction of the search, false for minimal and true for maximal models,
+    so the first model found often needs no improving step."""
     check_bound(len(program.signature), bound, "program signature")
     solver = _CnfSolver(program)
     if maximal:
@@ -338,7 +484,7 @@ def _extremal_models(program: Program, bound: int, maximal: bool) -> list[Interp
                 break
             model = better
         found.append(model)
-        solver.clauses.append(block(model))
+        solver.add(block(model))
     return canonical(found)
 
 
@@ -363,7 +509,8 @@ def entails(
     bound: int = DEFAULT_MODEL_BOUND,
 ) -> bool:
     """Logical consequence of a conjunction of clauses: one solver over the
-    program, one UNSAT query per goal under the goal's negation."""
+    program, one UNSAT query per goal under the goal's negation, made as
+    assumptions, so what the solver learns on one goal serves the next."""
     goals = [conjunction] if isinstance(conjunction, Clause) else list(conjunction)
     solver = None  # built at the first goal: an empty conjunction needs no bound
     for goal in goals:

@@ -91,6 +91,14 @@ def mutual_attacks(k):
     return ArgumentationFramework(frozenset(names), frozenset(attacks))
 
 
+def attack_chain(n):
+    """a0000 -> a0001 -> ... -> a<n-1>, numbered so that sorted names follow
+    the chain; its one preferred extension is every other argument from the
+    first on."""
+    names = [f"a{i:04d}" for i in range(n)]
+    return ArgumentationFramework(frozenset(names), frozenset(zip(names, names[1:])))
+
+
 def odd_cycles(k):
     """k disjoint 3-cycles a<i> -> b<i> -> c<i> -> a<i>: 3k arguments, whose one
     preferred extension is empty."""

@@ -36,6 +36,7 @@ from tests.common import (
     KNOT_LAMBDA_STABLE,
     NO_ATTACKS,
     SELF_ATTACK,
+    attack_chain,
     mutual_attacks,
     random_framework,
     recursion_headroom,
@@ -294,3 +295,15 @@ def test_deep_search_finishes_under_a_low_recursion_limit():
     theory = alpha(mutual_attacks(400))
     with recursion_headroom(150):
         assert not is_unsatisfiable(theory, bound=10_000)
+
+
+# The two size gates of the solver, with no wall-clock bound: the test job's
+# timeout stands behind them.
+def test_wide_defeat_theory_is_satisfiable():
+    assert not is_unsatisfiable(alpha(mutual_attacks(1100)), bound=10_000)
+
+
+def test_long_chain_has_its_one_extension():
+    af = attack_chain(1200)
+    report = preferred_via_alpha(af, bound=10_000)
+    assert report.extensions == (frozenset(sorted(af.arguments)[::2]),)

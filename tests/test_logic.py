@@ -24,6 +24,7 @@ from argstable import (
     normalize,
     stable_models,
 )
+from argstable.logic import _CnfSolver
 from argstable.translate import alpha, beta, defeat_map, gamma
 from tests.common import (
     FOUR_RULE_PROGRAM,
@@ -96,6 +97,36 @@ class TestProgram:
     def test_to_asp_sorted(self):
         p = Program.of([clause(["b"]), clause(["a"])])
         assert p.to_asp() == "a.\nb.\n"
+
+
+# atoms that are prefixes of one another, so that string order and tuple
+# order could part ways
+_prefix_literals = st.builds(
+    Literal, st.sampled_from(["a", "a1", "b", "d(a)", "d(a1)"]), st.integers(0, 3)
+)
+
+
+@st.composite
+def prefix_programs(draw):
+    clauses = []
+    for _ in range(draw(st.integers(0, 8))):
+        head = draw(st.lists(_prefix_literals, max_size=3))
+        body = draw(st.lists(_prefix_literals, min_size=0 if head else 1, max_size=3))
+        clauses.append(Clause(tuple(head), tuple(body)))
+    return Program.of(clauses)
+
+
+@settings(deadline=None, max_examples=200)
+@example(Program.of([
+    clause(["a"], ["a1"]),
+    clause(["a", "a1"]),
+    clause(["a"], ["a1", Literal("d(a)", 2)]),
+    clause([Literal("a", 1)]),
+    clause([], ["a"]),
+]))
+@given(prefix_programs())
+def test_sorted_clauses_keep_the_generated_order(p):
+    assert p.sorted_clauses() == sorted(p.clauses)
 
 
 class TestEvaluate:
@@ -508,6 +539,75 @@ def test_entails_agrees_with_models(case):
     expected = [all(evaluate(m, g) for m in everything) for g in goals]
     assert [entails(p, g) for g in goals] == expected
     assert entails(p, goals) == all(expected)
+
+
+@st.composite
+def solver_sessions(draw):
+    """A CNF over at most six variables, then a sequence of `add` and
+    `solve(assume, extra, default)` steps on one solver; empty clauses,
+    repeated literals and contradictory assumptions included."""
+    n = draw(st.integers(1, 6))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = st.lists(literal, max_size=4)
+    initial = draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=10))
+    steps = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), clauses),
+            st.tuples(
+                st.just("solve"),
+                st.lists(literal, max_size=3),
+                st.lists(clauses, max_size=3),
+                st.booleans(),
+            ),
+        ),
+        max_size=8,
+    ))
+    return n, initial, steps
+
+
+def _satisfies(true_vars, cnf):
+    return all(any((l > 0) == (abs(l) in true_vars) for l in c) for c in cnf)
+
+
+# First example: the first call decides -1, then -2, which implies 3 and 4
+# against the call's extra clause [-3, -4]; the clause learned from that
+# conflict, [2, 1], rests on the extra clause, and if it outlived the call the
+# second call, under assumptions -1 and -2, would come out unsatisfiable
+# despite the model {3, 4}.  Second: deciding 1 implies 2 and a conflict with
+# two literals of that level, so a learned clause that stopped short of the
+# first UIP would be [-2], which no model satisfies.
+@settings(deadline=None, max_examples=300)
+@example((4, [[1, 2, 3], [1, 2, 4]], [("solve", [], [[-3, -4]], False), ("solve", [-1, -2], [], False)]))
+@example((2, [[1, 2], [-1, 2]], [("solve", [], [[-1, -2]], True)]))
+@given(solver_sessions())
+def test_incremental_solver_agrees_with_brute_force(session):
+    n, initial, steps = session
+    atoms = [f"x{v}" for v in range(1, n + 1)]
+    program = Program.of(
+        [
+            Clause(tuple(f"x{l}" for l in c if l > 0), tuple(f"x{-l}" for l in c if l < 0))
+            for c in initial
+        ],
+        signature=atoms,
+    )
+    solver = _CnfSolver(program)
+    assert solver.index == {a: v for v, a in enumerate(atoms, 1)}
+    added = [list(c) for c in initial]
+    for step in steps:
+        if step[0] == "add":
+            solver.add(step[1])
+            added.append(step[1])
+            continue
+        _, assume, extra, default = step
+        required = added + extra + [[l] for l in assume]
+        satisfiable = any(
+            _satisfies({v for v in range(1, n + 1) if mask >> (v - 1) & 1}, required)
+            for mask in range(1 << n)
+        )
+        model = solver.solve(assume, extra, default)
+        assert (model is not None) == satisfiable
+        if model is not None:
+            assert _satisfies({solver.index[a] for a in model}, required)
 
 
 class TestAtomMap:
