@@ -14,7 +14,7 @@ its clauses.  Exhaustive operations refuse signatures beyond `bound`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BoundExceededError
 
@@ -238,16 +238,14 @@ class _CnfSolver:
     SAT-solver", SAT 2003), with two watched literals per clause (Moskewicz et
     al., "Chaff", DAC 2001).
 
-    Clauses given to `add` hold for every later call, which is how the
-    shrink/grow/block loops are expressed.  `solve` makes its assumptions the
-    first decisions and attaches its `extra` clauses for that call only.  Each
-    conflict is analysed to its first unique implication point; the learned
-    clause sends the search back to the highest decision level among its
-    other literals.  What a call learns outlives it only if the call had no
-    `extra` clauses: assumptions are decisions, so no learned clause rests on
-    them, and one resolved from added clauses alone follows from every later
-    clause set.  A learned unit is asserted at level 0 and is undone, like
-    every other assignment of the call, when the call returns.
+    Clauses given to `add` hold for every later call.  `solve` makes its
+    assumptions the first decisions; `extremal_models` enumerates in one
+    search, resumed after each model.  Each conflict is analysed to its first
+    unique implication point; the learned clause sends the search back to the
+    highest decision level among its other literals.  Assumptions are
+    decisions, so no learned clause rests on them: every learned clause, and
+    every assignment at level 0, follows from the clauses added so far, and
+    both are kept for every later call.
     """
 
     def __init__(self, program: Program):
@@ -273,45 +271,45 @@ class _CnfSolver:
         """Add a clause for every later call."""
         self.unsat = self.unsat or not self._attach(list(dict.fromkeys(clause)))
 
-    def solve(
-        self, assume: Iterable[int] = (), extra: Sequence[Sequence[int]] = (), default: bool = False
-    ) -> Interpretation | None:
-        """A model of the clauses added so far, the `extra` clauses and the
-        assumed literals, or None if there is none.  Each decision gives the
-        lowest unassigned variable the value `default`, so no atom is left
-        free: the first model found leans towards the minimal (False) or
-        maximal (True) ones."""
-        if self.unsat or self._propagate() is not None:
-            self.unsat = True
-            return None
-        base = len(self.trail)
-        temporary = [list(dict.fromkeys(c)) for c in extra]
-        learned: list[list[int]] = []
-        try:
-            if not all(self._attach(c) for c in temporary):
-                return None
-            return self._search(list(assume), default, learned)
-        finally:
-            if temporary:
-                temporary += learned  # what was learned may rest on them
-            del self.limits[:]
-            self._undo(base)
-            dead = {id(c) for c in temporary}
-            watched = {l for c in temporary for l in c[:2]}
-            for lit in watched:
-                self.watches[lit] = [c for c in self.watches[lit] if id(c) not in dead]
+    def solve(self, assume: Iterable[int] = (), default: bool = False) -> Interpretation | None:
+        """A model of the clauses added so far and the assumed literals, or
+        None if there is none.  Each decision gives the lowest unassigned
+        variable the value `default`, so no atom is left free.  If every
+        assumption sets its atom to `default` too, the model is minimal
+        (False) or maximal (True) among those models, as `extremal_models`
+        explains."""
+        model = None if self.unsat else self._search(list(assume), default)
+        self._backtrack(0)
+        return model
 
-    def not_superset_of(self, s: Interpretation) -> list[int]:
-        return [-self.index[a] for a in sorted(s)]
+    def extremal_models(self, default: bool) -> Iterator[Interpretation]:
+        """Every minimal (`default` False) or maximal (True) model of the
+        clauses added so far, each as soon as one search finds it; no other
+        call may come between two of them.
 
-    def not_subset_of(self, s: Interpretation) -> list[int]:
-        return [self.index[a] for a in sorted(set(self.atoms) - set(s))]
-
-    def strictly_below(self, s: Interpretation) -> tuple[list[int], list[int]]:
-        return [-self.index[a] for a in self.atoms if a not in s], self.not_superset_of(s)
-
-    def strictly_above(self, s: Interpretation) -> tuple[list[int], list[int]]:
-        return [self.index[a] for a in sorted(s)], self.not_subset_of(s)
+        Every decision sets its atom to `default`, and every other literal on
+        the trail is implied by a clause that follows from the added ones.
+        So no model N of those clauses lies strictly between the model M
+        found and the `default` side (below M for False, above for True):
+        the first trail literal N falsifies is no decision, as N agrees with
+        M wherever M takes `default`, and no implied literal, whose clause N
+        would falsify (Castell, Cayrol, Cayrol & Le Berre, "Using the Davis
+        and Putnam procedure for an efficient computation of preferred
+        models", ECAI 1996).  So each model is extremal as found, with no
+        step that shrinks or grows it.  Its block clause, the negated
+        literals that differ from `default`, keeps out it and every model
+        beyond it, none of them extremal, and the search resumes from the
+        trail instead of starting again (Toda & Soh, "Implementing efficient
+        all solutions SAT solvers", ACM JEA 2016)."""
+        while not self.unsat:
+            model = self._search([], default)
+            if model is None:
+                break
+            yield model
+            # the trail runs in level order, so the block clause starts with
+            # its literals of the highest level
+            self._backjump([-lit for lit in reversed(self.trail) if (lit > 0) != default])
+        self._backtrack(0)
 
     def _attach(self, clause: list[int]) -> bool:
         """Watch a clause before the first decision; False if the assignment
@@ -387,9 +385,9 @@ class _CnfSolver:
         self.head = head
         return None
 
-    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+    def _analyze(self, conflict: list[int]) -> list[int]:
         """The first-UIP clause of a conflict, its asserting literal first and
-        a literal of the backjump level second, and that level."""
+        a literal of the backjump level second."""
         level, reason, trail = self.level, self.reason, self.trail
         depth = len(self.limits)
         seen = set()
@@ -416,31 +414,48 @@ class _CnfSolver:
             # a reason clause starts with the literal it implied
             clause, start = reason[abs(lit)], 1
         learned[0] = -lit
-        if len(learned) == 1:
-            return learned, 0
-        top = max(range(1, len(learned)), key=lambda k: level[abs(learned[k])])
-        learned[1], learned[top] = learned[top], learned[1]
-        return learned, level[abs(learned[1])]
+        if len(learned) > 1:
+            top = max(range(1, len(learned)), key=lambda k: level[abs(learned[k])])
+            learned[1], learned[top] = learned[top], learned[1]
+        return learned
 
     def _backtrack(self, depth: int) -> None:
         if len(self.limits) > depth:
             self._undo(self.limits[depth])
             del self.limits[depth:]
 
-    def _search(self, assume: list[int], default: bool, learned: list[list[int]]) -> Interpretation | None:
+    def _backjump(self, clause: list[int]) -> None:
+        """Add a clause that the assignment falsifies, a literal of the
+        highest level among its literals first and one of the next-highest
+        second, and go back to where it no longer is: to the second-highest
+        level if one literal alone has the highest, where the clause asserts
+        that literal (at level 0 for a unit clause, which no watch list holds
+        and no backtrack may undo), and otherwise to one level below the
+        highest.  A clause falsified at level 0 leaves no model."""
+        level = self.level
+        top = level[abs(clause[0])] if clause else 0
+        second = level[abs(clause[1])] if len(clause) > 1 else 0
+        if not top:
+            self.unsat = True
+            return
+        if len(clause) > 1:
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
+        if second < top:
+            self._backtrack(second)
+            self._assign(clause[0], clause)
+        else:
+            self._backtrack(top - 1)
+
+    def _search(self, assume: list[int], default: bool) -> Interpretation | None:
         value, limits, variables = self.value, self.limits, len(self.atoms)
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 if not limits:
+                    self.unsat = True
                     return None
-                clause, back = self._analyze(conflict)
-                self._backtrack(back)
-                learned.append(clause)
-                if len(clause) > 1:
-                    self.watches[clause[0]].append(clause)
-                    self.watches[clause[1]].append(clause)
-                self._assign(clause[0], clause)
+                self._backjump(self._analyze(conflict))
             elif len(limits) < len(assume):
                 # the assumptions are the first decisions, one level each
                 lit = assume[len(limits)]
@@ -461,40 +476,21 @@ class _CnfSolver:
 
 
 def _extremal_models(program: Program, bound: int, maximal: bool) -> list[Interpretation]:
-    """Find a model, improve it by re-solving under strict-subset (or
-    superset) constraints until none remains, emit it, then block every
-    superset (or subset) of it and repeat.  Decisions set atoms in the
-    direction of the search, false for minimal and true for maximal models,
-    so the first model found often needs no improving step."""
+    """The minimal (or maximal) models in canonical order, one search step
+    each: decisions that set atoms false (or true) make the first model found
+    extremal (Castell et al., ECAI 1996), as `_CnfSolver.extremal_models`
+    explains, so no model is shrunk or grown."""
     check_bound(len(program.signature), bound, "program signature")
-    solver = _CnfSolver(program)
-    if maximal:
-        beyond, block = solver.strictly_above, solver.not_subset_of
-    else:
-        beyond, block = solver.strictly_below, solver.not_superset_of
-    found: list[Interpretation] = []
-    while True:
-        model = solver.solve(default=maximal)
-        if model is None:
-            break
-        while True:
-            assume, clause = beyond(model)
-            better = solver.solve(assume, [clause], default=maximal)
-            if better is None:
-                break
-            model = better
-        found.append(model)
-        solver.add(block(model))
-    return canonical(found)
+    return canonical(_CnfSolver(program).extremal_models(default=maximal))
 
 
 def minimal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
-    """Subset-minimal models over the signature, by the shrink/block loop."""
+    """Subset-minimal models over the signature."""
     return _extremal_models(program, bound, maximal=False)
 
 
 def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
-    """Subset-maximal models over the signature; the dual grow/block loop."""
+    """Subset-maximal models over the signature."""
     return _extremal_models(program, bound, maximal=True)
 
 
@@ -566,7 +562,10 @@ def stable_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[In
     `not b` true under M, and a constraint stripped bare would be false under
     M.  If no atom of M occurs under `not`, P^M and P agree on the subsets of
     M, so M is stable, as is every candidate of a positive program; otherwise
-    the reduct tests whether a model of P^M lies strictly below M."""
+    one solve of P^M with every atom outside M assumed false finds a model
+    of P^M minimal among those within M (Castell et al. 1996, as in
+    `_CnfSolver.extremal_models`), and M is stable exactly when that model is
+    M itself."""
     if not program.is_general():
         raise ValueError("stable models require a general program")
     negated = frozenset(b.atom for c in program.clauses for b in c.body if b.neg)
@@ -574,8 +573,7 @@ def stable_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[In
     for candidate in minimal_models(program, bound=bound):
         if not negated.isdisjoint(candidate):
             solver = _CnfSolver(gl_reduct(program, candidate))
-            assume, clause = solver.strictly_below(candidate)
-            if solver.solve(assume, [clause]) is not None:
+            if solver.solve([-solver.index[a] for a in solver.atoms if a not in candidate]) != candidate:
                 continue
         found.append(candidate)
     return found

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -35,6 +37,7 @@ from tests.common import (
     brute_maximal,
     brute_minimal,
     brute_stable,
+    mutual_attacks,
     random_program,
 )
 
@@ -346,6 +349,37 @@ def test_stable_models_match_brute_force(p):
     assert stable_models(p) == brute_stable(p)
 
 
+def test_each_extremal_model_takes_one_search(monkeypatch):
+    """Decisions on the default side make the first model found extremal
+    (Castell et al. 1996), so m minimal or maximal models take at most m + 1
+    searches, the last one finding nothing, and each reduct check of
+    `stable_models` one search of its own solver: nothing re-solves a model
+    to shrink or grow it."""
+    searches = []
+    search = _CnfSolver._search
+
+    def counted(solver, *args):
+        searches.append(solver)
+        return search(solver, *args)
+
+    monkeypatch.setattr(_CnfSolver, "_search", counted)
+    rng = random.Random(31)
+    programs = [FOUR_RULE_PROGRAM, alpha(SELF_ATTACK), alpha(mutual_attacks(4)), gamma(CHAIN), beta(CHAIN)]
+    programs += [random_program(rng, max_atoms=8, max_clauses=8) for _ in range(100)]
+    for p in programs:
+        for enumerate_models in (maximal_models, minimal_models):
+            del searches[:]
+            candidates = enumerate_models(p)
+            assert len(searches) <= len(candidates) + 1
+        if p.is_general():
+            # `candidates` holds the minimal models, which `stable_models` checks
+            del searches[:]
+            stable_models(p)
+            per_solver = list(Counter(map(id, searches)).values()) or [0]
+            assert per_solver[0] <= len(candidates) + 1
+            assert all(n == 1 for n in per_solver[1:])
+
+
 class TestGTransform:
     def test_chain_intermediate(self):
         mapped = g_transform(beta(CHAIN), defeat_map(CHAIN))
@@ -543,9 +577,10 @@ def test_entails_agrees_with_models(case):
 
 @st.composite
 def solver_sessions(draw):
-    """A CNF over at most six variables, then a sequence of `add` and
-    `solve(assume, extra, default)` steps on one solver; empty clauses,
-    repeated literals and contradictory assumptions included."""
+    """A CNF over at most six variables, a sequence of `add` and
+    `solve(assume, default)` steps on one solver, then the default for an
+    enumeration of extremal models; empty clauses, repeated literals and
+    contradictory assumptions included."""
     n = draw(st.integers(1, 6))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
     clauses = st.lists(literal, max_size=4)
@@ -553,35 +588,37 @@ def solver_sessions(draw):
     steps = draw(st.lists(
         st.one_of(
             st.tuples(st.just("add"), clauses),
-            st.tuples(
-                st.just("solve"),
-                st.lists(literal, max_size=3),
-                st.lists(clauses, max_size=3),
-                st.booleans(),
-            ),
+            st.tuples(st.just("solve"), st.lists(literal, max_size=3), st.booleans()),
         ),
         max_size=8,
     ))
-    return n, initial, steps
+    return n, initial, steps, draw(st.booleans())
 
 
 def _satisfies(true_vars, cnf):
     return all(any((l > 0) == (abs(l) in true_vars) for l in c) for c in cnf)
 
 
-# First example: the first call decides -1, then -2, which implies 3 and 4
-# against the call's extra clause [-3, -4]; the clause learned from that
-# conflict, [2, 1], rests on the extra clause, and if it outlived the call the
-# second call, under assumptions -1 and -2, would come out unsatisfiable
-# despite the model {3, 4}.  Second: deciding 1 implies 2 and a conflict with
-# two literals of that level, so a learned clause that stopped short of the
-# first UIP would be [-2], which no model satisfies.
+def _brute_models(n, cnf):
+    subsets = [frozenset(v for v in range(1, n + 1) if mask >> (v - 1) & 1) for mask in range(1 << n)]
+    return [s for s in subsets if _satisfies(s, cnf)]
+
+
+# First example: deciding 1 implies 2 and a conflict with two literals of
+# that level, so a learned clause that stopped short of the first UIP would
+# be [-2], which no model satisfies.  Second: the first minimal model, {x5},
+# is reached by deciding x1 and x2 false and leaves the unit block clause
+# [-5]; asserted anywhere but at level 0, where nothing undoes it, it falls
+# to a later backtrack, and {x5} comes out twice.  Third: deciding x1 false
+# implies x2 and x3, so the block clause [-3, -2] has two literals at level
+# 1, and the search must leave that level to find {x1}.
 @settings(deadline=None, max_examples=300)
-@example((4, [[1, 2, 3], [1, 2, 4]], [("solve", [], [[-3, -4]], False), ("solve", [-1, -2], [], False)]))
-@example((2, [[1, 2], [-1, 2]], [("solve", [], [[-1, -2]], True)]))
+@example((2, [[1, 2], [-1, 2], [-1, -2]], [("solve", [], True)], True))
+@example((5, [[5, 2]], [], False))
+@example((3, [[1, 2], [1, 3]], [], False))
 @given(solver_sessions())
 def test_incremental_solver_agrees_with_brute_force(session):
-    n, initial, steps = session
+    n, initial, steps, enumerate_default = session
     atoms = [f"x{v}" for v in range(1, n + 1)]
     program = Program.of(
         [
@@ -598,16 +635,29 @@ def test_incremental_solver_agrees_with_brute_force(session):
             solver.add(step[1])
             added.append(step[1])
             continue
-        _, assume, extra, default = step
-        required = added + extra + [[l] for l in assume]
-        satisfiable = any(
-            _satisfies({v for v in range(1, n + 1) if mask >> (v - 1) & 1}, required)
-            for mask in range(1 << n)
-        )
-        model = solver.solve(assume, extra, default)
-        assert (model is not None) == satisfiable
-        if model is not None:
-            assert _satisfies({solver.index[a] for a in model}, required)
+        _, assume, default = step
+        candidates = _brute_models(n, added + [[l] for l in assume])
+        model = solver.solve(assume, default)
+        assert (model is not None) == bool(candidates)
+        if model is None:
+            continue
+        found = frozenset(solver.index[a] for a in model)
+        assert found in candidates
+        if all((l > 0) == default for l in assume):
+            # decisions and assumptions all on the default side leave no
+            # model of these clauses beyond the one found
+            assert not [s for s in candidates if (s > found if default else s < found)]
+    candidates = _brute_models(n, added)
+    extremal = brute_maximal(candidates) if enumerate_default else brute_minimal(candidates)
+    # one more than there are sets, so a model found twice cannot loop forever
+    found = [
+        frozenset(solver.index[a] for a in m)
+        for m in itertools.islice(solver.extremal_models(enumerate_default), (1 << n) + 1)
+    ]
+    assert len(found) == len(set(found))
+    assert set(found) == set(extremal)
+    # the block clauses keep out every model
+    assert solver.solve() is None
 
 
 class TestAtomMap:
