@@ -119,14 +119,14 @@ def _config(ns) -> RunConfig:
 
 
 def _load(config: RunConfig) -> ArgumentationFramework:
-    if config.input_path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if config.input_path == "-":
+            text = sys.stdin.read()
+        else:
             with open(config.input_path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise _UsageError(f"argstable: error: cannot read {config.input_path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"argstable: error: cannot read {config.input_path}: {exc}")
     return parse_apx(text) if config.input_format == "apx" else parse_tgf(text)
 
 

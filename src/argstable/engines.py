@@ -14,7 +14,7 @@ from .logic import (
     Literal,
     Program,
     canonical,
-    entails,
+    is_minimal_model_by_consequence,
     is_model,
     minimal_models,
     stable_models,
@@ -80,19 +80,6 @@ def preferred_via_lambda(
     return _report("lambda", ((m & af.arguments, m) for m in found))
 
 
-def _denied_members(af: ArgumentationFramework, members):
-    """The prologue both checkers share.  Returns the complement image of
-    `members` and the defeat theory plus the denial of every member, or None
-    when the complement image is not a model of the defeat theory."""
-    s = frozenset(members)
-    theory = alpha(af)
-    complement = compl(af, s)
-    if not is_model(theory, complement):
-        return None
-    denials = frozenset(Clause(head=(Literal(defeat_atom(x), 1),)) for x in s)
-    return complement, Program(theory.clauses | denials, theory.signature)
-
-
 def check_preferred_unsat(
     af: ArgumentationFramework,
     members,
@@ -102,16 +89,18 @@ def check_preferred_unsat(
     and the theory plus the denial of every member plus the negated complement
     conjunction must be unsatisfiable.  On failure the counter-model is the
     lexicographically first minimal satisfying model."""
-    prologue = _denied_members(af, members)
-    if prologue is None:
+    s = frozenset(members)
+    theory = alpha(af)
+    complement = compl(af, s)
+    if not is_model(theory, complement):
         return PreferredCheck(False, None, "not-a-model")
-    complement, strengthened = prologue
     if not complement:
         # Negating an empty conjunction gives falsum, so unsatisfiability
         # holds outright and the verdict is the model-hood check above.
         return PreferredCheck(True, None, None)
+    denials = {Clause(head=(Literal(defeat_atom(x), 1),)) for x in s}
     negated = Clause(head=tuple(Literal(d, 1) for d in sorted(complement)))
-    certificate = Program(strengthened.clauses | {negated}, strengthened.signature)
+    certificate = Program(theory.clauses | denials | {negated}, theory.signature)
     satisfying = minimal_models(certificate, bound=bound)
     if not satisfying:
         return PreferredCheck(True, None, None)
@@ -125,13 +114,9 @@ def check_preferred_consequence(
 ) -> bool:
     """Minimality as consequence: the complement image models the defeat
     theory, and the theory plus the denial of every member entails each
-    complement atom."""
-    prologue = _denied_members(af, members)
-    if prologue is None:
-        return False
-    complement, strengthened = prologue
-    goal = [Clause(head=(Literal(d),)) for d in sorted(complement)]
-    return entails(strengthened, goal, bound=bound)
+    complement atom.  The members' defeat atoms are the atoms outside the
+    complement image, so this is `is_minimal_model_by_consequence`."""
+    return is_minimal_model_by_consequence(alpha(af), compl(af, members), bound=bound)
 
 
 def query(

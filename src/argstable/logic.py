@@ -558,24 +558,37 @@ def stable_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[In
     """All sets that are minimal models of their own reduct.
 
     Candidates are the classical minimal models M of P: a smaller model of P
-    would model P^M too.  M models P^M, as each kept clause had its stripped
-    `not b` true under M, and a constraint stripped bare would be false under
-    M.  If no atom of M occurs under `not`, P^M and P agree on the subsets of
-    M, so M is stable, as is every candidate of a positive program; otherwise
-    one solve of P^M with every atom outside M assumed false finds a model
-    of P^M minimal among those within M (Castell et al. 1996, as in
-    `_CnfSolver.extremal_models`), and M is stable exactly when that model is
-    M itself."""
+    would model P^M too.  A positive program is its own reduct.  Otherwise
+    one solver checks every candidate (guess and check: Koch, Leone &
+    Pfeifer, AIJ 2003).  It holds P with each `not b` reading a copy b' of b,
+    b followed by the fewest primes that make every copy a new atom.  Copies
+    assumed true for the negated atoms in M drop the clauses P^M drops, the
+    others assumed false strip `not b`, and every other atom outside M
+    assumed false leaves one solve for a model of P^M minimal among those
+    within M (Castell et al. 1996, as in `_CnfSolver.extremal_models`).  M
+    models P^M, as each clause P^M keeps had its `not b` true under M, so M
+    is stable exactly when that model, its copies aside, is M."""
     if not program.is_general():
         raise ValueError("stable models require a general program")
-    negated = frozenset(b.atom for c in program.clauses for b in c.body if b.neg)
+    candidates = minimal_models(program, bound=bound)
+    negated = {b.atom for c in program.clauses for b in c.body if b.neg}
+    if not negated:
+        return candidates
+    prime = "'"
+    while any(b + prime in program.signature for b in negated):
+        prime += "'"
+    renamed = frozenset(
+        Clause(c.head, tuple(Literal(b.atom + prime, 1) if b.neg else b for b in c.body))
+        for c in program.clauses
+    )
+    solver = _CnfSolver(Program(renamed, program.signature | {b + prime for b in negated}))
     found = []
-    for candidate in minimal_models(program, bound=bound):
-        if not negated.isdisjoint(candidate):
-            solver = _CnfSolver(gl_reduct(program, candidate))
-            if solver.solve([-solver.index[a] for a in solver.atoms if a not in candidate]) != candidate:
-                continue
-        found.append(candidate)
+    for candidate in candidates:
+        expected = candidate | {b + prime for b in negated & candidate}
+        assume = [v if a in expected else -v
+                  for v, a in enumerate(solver.atoms, 1) if a not in candidate]
+        if solver.solve(assume) == expected:
+            found.append(candidate)
     return found
 
 

@@ -2,12 +2,14 @@
 and the brute-force reference computations the fast paths are tested against."""
 
 import inspect
+import random
 import string
 import sys
 from contextlib import contextmanager
 from itertools import combinations
 
 from argstable import ArgumentationFramework, Clause, Literal, Program, gl_reduct, models
+from argstable.logic import _CnfSolver
 
 # a -> b -> c: the smallest framework where defence matters.
 CHAIN = ArgumentationFramework({"a", "b", "c"}, {("a", "b"), ("b", "c")})
@@ -84,6 +86,16 @@ def random_framework(rng, max_args=7, density=(0.1, 0.9)):
     return ArgumentationFramework(frozenset(names), attacks)
 
 
+def random_attacks(n, p, seed):
+    """Random (n, p, seed): arguments a0..a<n-1>, and `random.Random(seed)`
+    makes each ordered pair, self-attacks included, an attack with
+    probability p."""
+    rng = random.Random(seed)
+    names = [f"a{i}" for i in range(n)]
+    attacks = frozenset((x, y) for x in names for y in names if rng.random() < p)
+    return ArgumentationFramework(frozenset(names), attacks)
+
+
 def mutual_attacks(k):
     """k disjoint pairs a<i> <-> b<i>: 2k arguments, 2^k preferred extensions."""
     names = [f"{side}{i}" for i in range(k) for side in "ab"]
@@ -105,6 +117,19 @@ def odd_cycles(k):
     names = [f"{side}{i}" for i in range(k) for side in "abc"]
     attacks = [(f"{s}{i}", f"{t}{i}") for i in range(k) for s, t in ("ab", "bc", "ca")]
     return ArgumentationFramework(frozenset(names), frozenset(attacks))
+
+
+def count_solver_builds(monkeypatch):
+    """A list that records every `_CnfSolver` built from here on."""
+    built = []
+    init = _CnfSolver.__init__
+
+    def counted(solver, *args):
+        built.append(solver)
+        init(solver, *args)
+
+    monkeypatch.setattr(_CnfSolver, "__init__", counted)
+    return built
 
 
 @contextmanager

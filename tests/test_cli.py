@@ -254,6 +254,20 @@ class TestErrors:
         assert code == 1
         assert "cannot read /nonexistent/af.apx" in err
 
+    def test_file_not_utf8(self, run, tmp_path):
+        path = tmp_path / "latin.apx"
+        path.write_bytes(b"arg(a).\n\xff\n")
+        code, out, err = run(["solve", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"argstable: error: cannot read {path}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    def test_stdin_not_utf8(self, run, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+        code, _, err = run(["solve"])
+        assert code == 1
+        assert err.startswith("argstable: error: cannot read -: 'utf-8' codec can't decode")
+
     def test_bound_exceeded(self, run):
         code, _, err = run(["solve"], text=CHAIN_APX, env={"ARGSTABLE_BOUND": "2"})
         assert code == 2

@@ -4,7 +4,6 @@ import random
 import pytest
 
 import argstable.engines
-import argstable.logic
 from argstable import (
     ArgumentationFramework,
     check_preferred_consequence,
@@ -37,7 +36,9 @@ from tests.common import (
     NO_ATTACKS,
     SELF_ATTACK,
     attack_chain,
+    count_solver_builds,
     mutual_attacks,
+    random_attacks,
     random_framework,
     recursion_headroom,
     subsets_of,
@@ -256,15 +257,16 @@ class TestAgainstOracle:
             assert stable_models(lambda_(af)) == expected
 
     def test_positive_programs_build_no_reduct(self, monkeypatch):
-        def no_reduct(*args, **kwargs):
-            raise AssertionError("reduct built for a program without negation")
-
-        monkeypatch.setattr(argstable.logic, "gl_reduct", no_reduct)
+        # one solver finds the candidates; a positive program needs no other
+        built = count_solver_builds(monkeypatch)
         assert stable_models(gamma(KNOT)) == KNOT_GAMMA_STABLE
+        assert len(built) == 1
         rng = random.Random(61)
         for _ in range(40):
             af = random_framework(rng, max_args=6)
+            del built[:]
             assert preferred_via_gamma(af).extensions == tuple(preferred_oracle(af))
+            assert len(built) == 1
 
     def test_stable_fragment_matches_stable_oracle(self):
         rng = random.Random(53)
@@ -297,10 +299,20 @@ def test_deep_search_finishes_under_a_low_recursion_limit():
         assert not is_unsatisfiable(theory, bound=10_000)
 
 
-# The two size gates of the solver, with no wall-clock bound: the test job's
+# The size gates of the solver, with no wall-clock bound: the test job's
 # timeout stands behind them.
 def test_wide_defeat_theory_is_satisfiable():
     assert not is_unsatisfiable(alpha(mutual_attacks(1100)), bound=10_000)
+
+
+def test_lambda_checks_every_candidate_on_one_solver(monkeypatch):
+    # 1148 minimal-model candidates, one of them stable
+    af = random_attacks(60, 0.05, 1)
+    built = count_solver_builds(monkeypatch)
+    found = stable_models(lambda_(af), bound=10_000)
+    assert len(built) <= 2
+    expected = canonical(m | decode(af, m) for m in stable_models(gamma(af), bound=10_000))
+    assert found == expected
 
 
 def test_long_chain_has_its_one_extension():
