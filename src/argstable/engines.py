@@ -9,10 +9,9 @@ from .errors import UnknownArgumentError
 from .framework import ArgumentationFramework
 from .logic import (
     DEFAULT_MODEL_BOUND,
-    Clause,
     Interpretation,
     Literal,
-    Program,
+    _solve,
     canonical,
     is_minimal_model_by_consequence,
     is_model,
@@ -38,7 +37,7 @@ class SolveReport:
 
 class PreferredCheck(NamedTuple):
     holds: bool
-    counter_model: Interpretation | None
+    counter_model: Interpretation | None  # minimal in the certificate, the first the solver finds
     failure: str | None  # "not-a-model" or "satisfiable" when holds is False
 
 
@@ -87,24 +86,19 @@ def check_preferred_unsat(
 ) -> PreferredCheck:
     """Certificate check: the complement image must model the defeat theory,
     and the theory plus the denial of every member plus the negated complement
-    conjunction must be unsatisfiable.  On failure the counter-model is the
-    lexicographically first minimal satisfying model."""
+    conjunction must be unsatisfiable.  One solve decides it: the model it
+    finds under the denials is minimal inside the complement image, and on
+    failure it is the counter-model, a minimal model of the certificate."""
     s = frozenset(members)
     theory = alpha(af)
     complement = compl(af, s)
     if not is_model(theory, complement):
         return PreferredCheck(False, None, "not-a-model")
-    if not complement:
-        # Negating an empty conjunction gives falsum, so unsatisfiability
-        # holds outright and the verdict is the model-hood check above.
+    # an empty conjunction negates to falsum: unsatisfiable with no solve or bound
+    found = complement and _solve(theory, bound, [Literal(defeat_atom(x), 1) for x in sorted(s)])
+    if found == complement:
         return PreferredCheck(True, None, None)
-    denials = {Clause(head=(Literal(defeat_atom(x), 1),)) for x in s}
-    negated = Clause(head=tuple(Literal(d, 1) for d in sorted(complement)))
-    certificate = Program(theory.clauses | denials | {negated}, theory.signature)
-    satisfying = minimal_models(certificate, bound=bound)
-    if not satisfying:
-        return PreferredCheck(True, None, None)
-    return PreferredCheck(False, satisfying[0], "satisfiable")
+    return PreferredCheck(False, found, "satisfiable")
 
 
 def check_preferred_consequence(

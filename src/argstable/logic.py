@@ -495,8 +495,14 @@ def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[I
 
 
 def is_unsatisfiable(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> bool:
+    return _solve(program, bound) is None
+
+
+def _solve(program: Program, bound: int, assume: Iterable[Literal] = ()) -> Interpretation | None:
+    """`_CnfSolver.solve` under assumed literals, after the bound check."""
     check_bound(len(program.signature), bound, "program signature")
-    return _CnfSolver(program).solve() is None
+    solver = _CnfSolver(program)
+    return solver.solve([_int_literal(solver.index, l) for l in assume])
 
 
 def entails(

@@ -132,6 +132,20 @@ def count_solver_builds(monkeypatch):
     return built
 
 
+def count_searches(monkeypatch):
+    """A list that records the solver of every `_CnfSolver._search` entered
+    from here on."""
+    searches = []
+    search = _CnfSolver._search
+
+    def counted(solver, *args):
+        searches.append(solver)
+        return search(solver, *args)
+
+    monkeypatch.setattr(_CnfSolver, "_search", counted)
+    return searches
+
+
 @contextmanager
 def recursion_headroom(frames):
     """Lower the interpreter's recursion limit to `frames` above the current

@@ -6,6 +6,7 @@ import pytest
 import argstable.engines
 from argstable import (
     ArgumentationFramework,
+    BoundExceededError,
     check_preferred_consequence,
     check_preferred_unsat,
     compl,
@@ -36,6 +37,7 @@ from tests.common import (
     NO_ATTACKS,
     SELF_ATTACK,
     attack_chain,
+    count_searches,
     count_solver_builds,
     mutual_attacks,
     random_attacks,
@@ -149,6 +151,46 @@ class TestUnsatChecker:
         from argstable import UnknownArgumentError
         with pytest.raises(UnknownArgumentError):
             check_preferred_unsat(CHAIN, {"z"})
+
+    def test_counter_model_is_a_minimal_model_of_the_certificate(self):
+        # the certificate: alpha, every member's defeat atom false, and not
+        # every complement atom true; brute force over alpha's models
+        for seed in range(300):
+            af = random_framework(random.Random(seed), max_args=6)
+            theory = alpha(af)
+            theory_models = models(theory)
+            preferred = set(preferred_oracle(af))
+            for members in subsets_of(af.arguments):
+                check = check_preferred_unsat(af, members)
+                complement = compl(af, members)
+                assert check.holds == (members in preferred)
+                if not is_model(theory, complement):
+                    assert check == (False, None, "not-a-model")
+                    continue
+                certificate = [m for m in theory_models if m < complement]
+                if not certificate:
+                    assert check == (True, None, None)
+                    continue
+                assert check.failure == "satisfiable"
+                assert check.counter_model in certificate
+                assert not any(m < check.counter_model for m in certificate)
+
+    def test_bound_is_checked_only_where_a_solve_is_needed(self):
+        # not-a-model and an empty complement decide without the solver
+        assert check_preferred_unsat(NO_ATTACKS, {"a", "b"}, bound=0).holds
+        assert check_preferred_unsat(CHAIN, {"b"}, bound=0).failure == "not-a-model"
+        with pytest.raises(BoundExceededError):
+            check_preferred_unsat(CHAIN, {"a", "c"}, bound=2)
+        with pytest.raises(BoundExceededError):
+            check_preferred_unsat(NO_ATTACKS, {"a"}, bound=1)
+
+    def test_one_solve_decides(self, monkeypatch):
+        built = count_solver_builds(monkeypatch)
+        searches = count_searches(monkeypatch)
+        check = check_preferred_unsat(mutual_attacks(6), set())
+        assert check.failure == "satisfiable"
+        assert len(built) == 1
+        assert len(searches) == 1
 
 
 class TestConsequenceChecker:

@@ -37,6 +37,7 @@ from tests.common import (
     brute_maximal,
     brute_minimal,
     brute_stable,
+    count_searches,
     count_solver_builds,
     mutual_attacks,
     random_program,
@@ -361,14 +362,7 @@ def test_each_extremal_model_takes_one_search(monkeypatch):
     and, for a program with `not`, one more that checks every candidate in
     at most one search."""
     built = count_solver_builds(monkeypatch)
-    searches = []
-    search = _CnfSolver._search
-
-    def counted(solver, *args):
-        searches.append(solver)
-        return search(solver, *args)
-
-    monkeypatch.setattr(_CnfSolver, "_search", counted)
+    searches = count_searches(monkeypatch)
     rng = random.Random(31)
     programs = [FOUR_RULE_PROGRAM, alpha(SELF_ATTACK), alpha(mutual_attacks(4)), gamma(CHAIN), beta(CHAIN)]
     programs += [random_program(rng, max_atoms=8, max_clauses=8) for _ in range(100)]
