@@ -120,12 +120,16 @@ def query(
     bound: int = DEFAULT_MODEL_BOUND,
 ) -> QueryVerdict:
     """Brave/cautious membership over the preferred extensions, evidenced by
-    the lexicographically first qualifying stable model."""
+    the first qualifying stable model of `lambda_` in canonical order.  That
+    model is read off `gamma`: each stable model of `lambda_` is a stable
+    model of `gamma` plus the extension it decodes to, so `lambda_` itself is
+    never built."""
     if argument not in af.arguments:
         raise UnknownArgumentError(f"unknown argument: {argument!r}")
     if mode not in ("brave", "cautious"):
         raise ValueError(f"unknown query mode: {mode!r}")
     brave = mode == "brave"
-    # brave asks for a model with the argument, cautious for one without it
-    hits = [m for m in stable_models(lambda_(af), bound=bound) if (argument in m) == brave]
+    report = preferred_via_gamma(af, bound=bound)
+    # brave asks for an extension with the argument, cautious for one without it
+    hits = canonical(e | m for e, m in report.witnesses.items() if (argument in e) == brave)
     return QueryVerdict(mode, bool(hits) == brave, hits[0] if hits else None)

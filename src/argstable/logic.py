@@ -14,7 +14,7 @@ its clauses.  Exhaustive operations refuse signatures beyond `bound`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import BoundExceededError
 
@@ -238,14 +238,13 @@ class _CnfSolver:
     SAT-solver", SAT 2003), with two watched literals per clause (Moskewicz et
     al., "Chaff", DAC 2001).
 
-    Clauses given to `add` hold for every later call.  `solve` makes its
-    assumptions the first decisions; `extremal_models` enumerates in one
-    search, resumed after each model.  Each conflict is analysed to its first
-    unique implication point; the learned clause sends the search back to the
-    highest decision level among its other literals.  Assumptions are
-    decisions, so no learned clause rests on them: every learned clause, and
-    every assignment at level 0, follows from the clauses added so far, and
-    both are kept for every later call.
+    `solve` makes its assumptions the first decisions; `extremal_models`
+    enumerates in one search, resumed after each model.  Each conflict is
+    analysed to its first unique implication point; the learned clause sends
+    the search back to the highest decision level among its other literals.
+    Assumptions are decisions, so no learned clause rests on them: every
+    learned clause, and every assignment at level 0, follows from the clauses
+    added so far, and both are kept for every later call.
     """
 
     def __init__(self, program: Program):
@@ -266,10 +265,6 @@ class _CnfSolver:
         self.unsat = False  # the clauses added so far have no model
         for clause in cnf:
             self.unsat = self.unsat or not self._attach(clause)
-
-    def add(self, clause: Sequence[int]) -> None:
-        """Add a clause for every later call."""
-        self.unsat = self.unsat or not self._attach(list(dict.fromkeys(clause)))
 
     def solve(self, assume: Iterable[int] = (), default: bool = False) -> Interpretation | None:
         """A model of the clauses added so far and the assumed literals, or
@@ -312,17 +307,16 @@ class _CnfSolver:
         self._backtrack(0)
 
     def _attach(self, clause: list[int]) -> bool:
-        """Watch a clause before the first decision; False if the assignment
-        already falsifies it.  A clause with one literal not false forces it."""
-        value = self.value
-        if len(clause) > 1 and (value[clause[0]] is False or value[clause[1]] is False):
-            clause.sort(key=lambda lit: value[lit] is False)
-        if not clause or value[clause[0]] is False:
-            return False
+        """Watch a clause's first two literals, or assign the literal of a unit
+        clause; False for an empty clause or a unit clause already false.
+        Nothing is propagated yet, so the first propagation visits every
+        clause that watches a literal the units falsify."""
         if len(clause) > 1:
             self.watches[clause[0]].append(clause)
             self.watches[clause[1]].append(clause)
-        if value[clause[0]] is None and (len(clause) == 1 or value[clause[1]] is False):
+        elif not clause or self.value[clause[0]] is False:
+            return False
+        elif self.value[clause[0]] is None:
             self._assign(clause[0], clause)
         return True
 

@@ -171,6 +171,18 @@ class TestQuery:
         assert code == 3
         assert out == "b is bravely false\n"
 
+    def test_sixteen_arguments_are_within_the_bound(self, run):
+        # mutual_attacks(8): gamma has one atom per argument, 16 of the 24 allowed
+        text = "".join(
+            f"arg(a{i}).\narg(b{i}).\natt(a{i},b{i}).\natt(b{i},a{i}).\n" for i in range(8)
+        )
+        code, out, err = run(["query", "--cautious", "a0"], text=text)
+        assert (code, err) == (3, "")
+        assert out == (
+            "a0 is cautiously false, evidenced by {a1,a2,a3,a4,a5,a6,a7,b0,"
+            "d(a0),d(b1),d(b2),d(b3),d(b4),d(b5),d(b6),d(b7)}\n"
+        )
+
     def test_mode_is_required(self, run):
         code, _, err = run(["query", "a"], text=CHAIN_APX)
         assert code == 1

@@ -253,6 +253,23 @@ class TestQuery:
         with pytest.raises(ValueError, match="unknown query mode"):
             query(CHAIN, "a", "plausible")
 
+    def test_builds_one_solver(self, monkeypatch):
+        # gamma is positive: its minimal models are its stable models
+        built = count_solver_builds(monkeypatch)
+        assert not query(KNOT, "a", "cautious").holds
+        assert len(built) == 1
+
+    def test_bound_counts_one_atom_per_argument(self):
+        # 16 arguments, 16 atoms in gamma: inside the default bound of 24
+        af = mutual_attacks(8)
+        verdict = query(af, "a0", "cautious")
+        assert not verdict.holds
+        extension = {"b0"} | {f"a{i}" for i in range(1, 8)}
+        assert verdict.evidence == extension | compl(af, extension)
+        assert query(af, "a0", "brave", bound=16).holds
+        with pytest.raises(BoundExceededError):
+            query(af, "a0", "brave", bound=15)
+
     def test_matches_oracle(self):
         rng = random.Random(37)
         # The evidence is the first qualifying model in canonical order.  Few

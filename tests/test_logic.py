@@ -578,19 +578,15 @@ def test_entails_agrees_with_models(case):
 
 @st.composite
 def solver_sessions(draw):
-    """A CNF over at most six variables, a sequence of `add` and
-    `solve(assume, default)` steps on one solver, then the default for an
-    enumeration of extremal models; empty clauses, repeated literals and
-    contradictory assumptions included."""
+    """A CNF over at most six variables, a sequence of `solve(assume,
+    default)` steps on one solver, then the default for an enumeration of
+    extremal models; repeated literals and contradictory assumptions
+    included."""
     n = draw(st.integers(1, 6))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
-    clauses = st.lists(literal, max_size=4)
     initial = draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=10))
     steps = draw(st.lists(
-        st.one_of(
-            st.tuples(st.just("add"), clauses),
-            st.tuples(st.just("solve"), st.lists(literal, max_size=3), st.booleans()),
-        ),
+        st.tuples(st.just("solve"), st.lists(literal, max_size=3), st.booleans()),
         max_size=8,
     ))
     return n, initial, steps, draw(st.booleans())
@@ -612,11 +608,14 @@ def _brute_models(n, cnf):
 # [-5]; asserted anywhere but at level 0, where nothing undoes it, it falls
 # to a later backtrack, and {x5} comes out twice.  Third: deciding x1 false
 # implies x2 and x3, so the block clause [-3, -2] has two literals at level
-# 1, and the search must leave that level to find {x1}.
+# 1, and the search must leave that level to find {x1}.  Fourth: the unit
+# clauses, sorted first, falsify both watches of [1, 2] before any
+# propagation, which must still find the conflict.
 @settings(deadline=None, max_examples=300)
 @example((2, [[1, 2], [-1, 2], [-1, -2]], [("solve", [], True)], True))
 @example((5, [[5, 2]], [], False))
 @example((3, [[1, 2], [1, 3]], [], False))
+@example((2, [[-1], [-2], [1, 2]], [("solve", [], False)], False))
 @given(solver_sessions())
 def test_incremental_solver_agrees_with_brute_force(session):
     n, initial, steps, enumerate_default = session
@@ -630,14 +629,8 @@ def test_incremental_solver_agrees_with_brute_force(session):
     )
     solver = _CnfSolver(program)
     assert solver.index == {a: v for v, a in enumerate(atoms, 1)}
-    added = [list(c) for c in initial]
-    for step in steps:
-        if step[0] == "add":
-            solver.add(step[1])
-            added.append(step[1])
-            continue
-        _, assume, default = step
-        candidates = _brute_models(n, added + [[l] for l in assume])
+    for _, assume, default in steps:
+        candidates = _brute_models(n, initial + [[l] for l in assume])
         model = solver.solve(assume, default)
         assert (model is not None) == bool(candidates)
         if model is None:
@@ -648,7 +641,7 @@ def test_incremental_solver_agrees_with_brute_force(session):
             # decisions and assumptions all on the default side leave no
             # model of these clauses beyond the one found
             assert not [s for s in candidates if (s > found if default else s < found)]
-    candidates = _brute_models(n, added)
+    candidates = _brute_models(n, initial)
     extremal = brute_maximal(candidates) if enumerate_default else brute_minimal(candidates)
     # one more than there are sets, so a model found twice cannot loop forever
     found = [
