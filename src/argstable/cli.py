@@ -9,8 +9,9 @@
 `solve --cross-check` runs the three engines and the oracle one after another
 and compares their extensions.
 
-Exit status: 0 success or positive verdict, 1 input error, 2 exhaustive bound
-exceeded, 3 negative verdict, 4 engine disagreement under --cross-check.
+Exit status: 0 success or positive verdict, 1 input error or output that
+cannot be written (a closed pipe, say), 2 exhaustive bound exceeded, 3
+negative verdict, 4 engine disagreement under --cross-check.
 The ARGSTABLE_BOUND environment variable overrides the exhaustive bounds.
 """
 
@@ -228,7 +229,15 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         config = _config(ns)
         af = _load(config)
-        return _COMMANDS[ns.command](ns, af, config)
+        code = _COMMANDS[ns.command](ns, af, config)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # `_load` reports its own, so this is a write to standard output that
+        # failed; point it at the null device so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"argstable: error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 1
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

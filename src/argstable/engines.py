@@ -11,14 +11,25 @@ from .logic import (
     DEFAULT_MODEL_BOUND,
     Interpretation,
     Literal,
+    _CnfSolver,
+    _rule_clauses,
     _solve,
     canonical,
+    check_bound,
     is_minimal_model_by_consequence,
     is_model,
-    minimal_models,
     stable_models,
 )
-from .translate import alpha, compl, decode, defeat_atom, gamma, lambda_
+from .translate import (
+    _alpha_rules,
+    _defeat_atoms,
+    _gamma_rules,
+    alpha,
+    compl,
+    decode,
+    defeat_atom,
+    lambda_,
+)
 
 Extension = frozenset[str]
 
@@ -54,19 +65,31 @@ def _report(engine: str, pairs) -> SolveReport:
     return SolveReport(engine, extensions, witnesses)
 
 
+def _minimal_defeat_models(af: ArgumentationFramework, rules, bound: int) -> list[Interpretation]:
+    """The minimal models, in canonical order, of the theory that `rules`
+    defines, on one solver compiled straight from its integer rules.  Its
+    clauses are `_cnf` of the theory's `Program`, in the same order, so the
+    search is the one `minimal_models` makes on that `Program`, which is
+    never built."""
+    check_bound(len(af.arguments), bound, "program signature")
+    solver = _CnfSolver(_defeat_atoms(af), _rule_clauses(rules(af)))
+    return canonical(solver.extremal_models(default=False))
+
+
 def preferred_via_alpha(
     af: ArgumentationFramework, bound: int = DEFAULT_MODEL_BOUND
 ) -> SolveReport:
     """Preferred extensions read off the minimal models of the defeat theory."""
-    found = minimal_models(alpha(af), bound=bound)
+    found = _minimal_defeat_models(af, _alpha_rules, bound)
     return _report("alpha", ((decode(af, m), m) for m in found))
 
 
 def preferred_via_gamma(
     af: ArgumentationFramework, bound: int = DEFAULT_MODEL_BOUND
 ) -> SolveReport:
-    """Preferred extensions read off the stable models of the disjunctive program."""
-    found = stable_models(gamma(af), bound=bound)
+    """Preferred extensions read off the stable models of the disjunctive
+    program.  It is positive, so they are its minimal models."""
+    found = _minimal_defeat_models(af, _gamma_rules, bound)
     return _report("gamma", ((decode(af, m), m) for m in found))
 
 

@@ -217,26 +217,45 @@ def _int_literal(index: Mapping[str, int], literal: Literal) -> int:
     return index[literal.atom] if literal.neg % 2 == 0 else -index[literal.atom]
 
 
+# A rule `(head, body)` over numbered atoms: each side a sequence of (atom
+# number, negation depth) pairs, the integer form of a `Clause`.
+Rule = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+
+def _rule_clauses(rules: Iterable[Rule]) -> list[list[int]]:
+    """The integer clause of each rule: head literals keep their parity, body
+    literals flip, and a repeated literal is kept once, where it first
+    occurs."""
+    cnf = []
+    for head, body in rules:
+        lits = {}
+        for v, neg in head:
+            lits[-v if neg & 1 else v] = None
+        for v, neg in body:
+            lits[v if neg & 1 else -v] = None
+        cnf.append(list(lits))
+    return cnf
+
+
 def _cnf(program: Program) -> tuple[list[str], dict[str, int], list[list[int]]]:
     """The integer CNF image of a program, shared by the solver and the DIMACS
     export: the signature sorted and numbered from 1, then one integer clause
-    per clause in canonical order.  Head literals keep their parity, body
-    literals flip, and a repeated literal is kept once, where it first occurs."""
+    per clause in canonical order, as `_rule_clauses` forms it."""
     atoms = sorted(program.signature)
     index = {a: i + 1 for i, a in enumerate(atoms)}
-    cnf = []
-    for clause in program.sorted_clauses():
-        lits = [_int_literal(index, h) for h in clause.head]
-        lits += [-_int_literal(index, b) for b in clause.body]
-        cnf.append(list(dict.fromkeys(lits)))
+    cnf = _rule_clauses(
+        ([(index[l.atom], l.neg) for l in clause.head], [(index[l.atom], l.neg) for l in clause.body])
+        for clause in program.sorted_clauses()
+    )
     return atoms, index, cnf
 
 
 class _CnfSolver:
-    """The one solver, over the integer CNF image of a program: conflict-driven
-    clause learning after MiniSat (Eén & Sörensson, "An Extensible
-    SAT-solver", SAT 2003), with two watched literals per clause (Moskewicz et
-    al., "Chaff", DAC 2001).
+    """The one solver, over integer clauses on the numbered `atoms`: the image
+    `_cnf` gives a program, or the one the engines compile a framework to.
+    Conflict-driven clause learning after MiniSat (Eén & Sörensson, "An
+    Extensible SAT-solver", SAT 2003), with two watched literals per clause
+    (Moskewicz et al., "Chaff", DAC 2001).
 
     `solve` makes its assumptions the first decisions; `extremal_models`
     enumerates in one search, resumed after each model.  Each conflict is
@@ -247,8 +266,8 @@ class _CnfSolver:
     added so far, and both are kept for every later call.
     """
 
-    def __init__(self, program: Program):
-        self.atoms, self.index, cnf = _cnf(program)
+    def __init__(self, atoms: list[str], cnf: list[list[int]]):
+        self.atoms = atoms
         size = 2 * len(self.atoms) + 1
         # indexed by literal, -v landing at slot 2 * len(atoms) + 1 - v
         self.value: list[bool | None] = [None] * size
@@ -475,7 +494,8 @@ def _extremal_models(program: Program, bound: int, maximal: bool) -> list[Interp
     extremal (Castell et al., ECAI 1996), as `_CnfSolver.extremal_models`
     explains, so no model is shrunk or grown."""
     check_bound(len(program.signature), bound, "program signature")
-    return canonical(_CnfSolver(program).extremal_models(default=maximal))
+    atoms, _, cnf = _cnf(program)
+    return canonical(_CnfSolver(atoms, cnf).extremal_models(default=maximal))
 
 
 def minimal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
@@ -495,8 +515,8 @@ def is_unsatisfiable(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> bool
 def _solve(program: Program, bound: int, assume: Iterable[Literal] = ()) -> Interpretation | None:
     """`_CnfSolver.solve` under assumed literals, after the bound check."""
     check_bound(len(program.signature), bound, "program signature")
-    solver = _CnfSolver(program)
-    return solver.solve([_int_literal(solver.index, l) for l in assume])
+    atoms, index, cnf = _cnf(program)
+    return _CnfSolver(atoms, cnf).solve([_int_literal(index, l) for l in assume])
 
 
 def entails(
@@ -515,11 +535,12 @@ def entails(
             raise ValueError(f"goal atoms outside the signature: {sorted(stray)}")
         if solver is None:
             check_bound(len(program.signature), bound, "program signature")
-            solver = _CnfSolver(program)
+            atoms, index, cnf = _cnf(program)
+            solver = _CnfSolver(atoms, cnf)
         # not (H :- B) holds exactly when every body literal holds and every
         # head literal fails
-        denial = [_int_literal(solver.index, b) for b in goal.body]
-        denial += [-_int_literal(solver.index, h) for h in goal.head]
+        denial = [_int_literal(index, b) for b in goal.body]
+        denial += [-_int_literal(index, h) for h in goal.head]
         if solver.solve(denial) is not None:
             return False
     return True
@@ -581,7 +602,8 @@ def stable_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[In
         Clause(c.head, tuple(Literal(b.atom + prime, 1) if b.neg else b for b in c.body))
         for c in program.clauses
     )
-    solver = _CnfSolver(Program(renamed, program.signature | {b + prime for b in negated}))
+    atoms, _, cnf = _cnf(Program(renamed, program.signature | {b + prime for b in negated}))
+    solver = _CnfSolver(atoms, cnf)
     found = []
     for candidate in candidates:
         expected = candidate | {b + prime for b in negated & candidate}

@@ -6,6 +6,9 @@ defeated once all of b's attackers are.  Depending on the builder that comes
 out as a theory with default negation (`alpha`), a theory over the argument
 atoms themselves (`beta`), or a negation-free disjunctive program (`gamma`);
 `lambda_` adds acceptance rules so stable models carry the extension itself.
+`alpha` and `gamma` are defined once, as integer rules, which the engines
+hand to the solver directly and `alpha(af)` and `gamma(af)` turn into a
+`Program`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Iterable
 
 from .errors import UnknownArgumentError
 from .framework import ArgumentationFramework
-from .logic import AtomMap, Clause, Literal, Program
+from .logic import AtomMap, Clause, Literal, Program, Rule
 
 
 def defeat_atom(name: str) -> str:
@@ -25,8 +28,50 @@ def defeat_map(af: ArgumentationFramework) -> AtomMap:
     return AtomMap(forward={x: defeat_atom(x) for x in af.arguments})
 
 
-def _defeat_signature(af: ArgumentationFramework) -> frozenset[str]:
-    return frozenset(defeat_atom(x) for x in af.arguments)
+def _defeat_atoms(af: ArgumentationFramework) -> list[str]:
+    """The defeat atoms in sorted order, atom number i naming the i-th, as
+    in the integer rules of `alpha` and `gamma`.  A name sorts as its defeat
+    atom does: `)` sorts below every character a name can hold."""
+    return [defeat_atom(x) for x in sorted(af.arguments)]
+
+
+def _defeat_rules(af: ArgumentationFramework, attack_rule) -> list[Rule]:
+    """Per attack (b, a), `attack_rule(a, b)` over the atom numbers of d(a)
+    and d(b), and the defender rule `d(a) :- d(c1), ..., d(ck)` where the c
+    are the attackers of b; no attackers means an empty body.  The rules come
+    deduplicated and sorted, which is the canonical `Clause` order: numbers
+    sort as the atoms they name."""
+    number = {x: i for i, x in enumerate(sorted(af.arguments), 1)}
+    defenders = {
+        x: tuple([(number[c], 0) for c in cs]) for x, cs in af.attacker_index.items()
+    }
+    rules = set()
+    for source, target in af.attacks:
+        a = number[target]
+        rules.add(attack_rule(a, number[source]))
+        rules.add((((a, 0),), defenders[source]))
+    return sorted(rules)
+
+
+def _program(af: ArgumentationFramework, rules: list[Rule]) -> Program:
+    """The `Program` of integer rules, with one shared `Literal` per atom and
+    negation depth."""
+    atoms = _defeat_atoms(af)
+    literals = {
+        pair: Literal(atoms[pair[0] - 1], pair[1])
+        for pair in {pair for head, body in rules for pair in head + body}
+    }
+    clauses = [
+        Clause(tuple([literals[h] for h in head]), tuple([literals[b] for b in body]))
+        for head, body in rules
+    ]
+    return Program(frozenset(clauses), frozenset(atoms))
+
+
+def _alpha_rules(af: ArgumentationFramework) -> list[Rule]:
+    """`alpha` as integer rules: per attack (b, a), `d(a) :- not d(b)` and
+    the defender rule."""
+    return _defeat_rules(af, lambda a, b: (((a, 0),), ((b, 1),)))
 
 
 def alpha(af: ArgumentationFramework) -> Program:
@@ -35,14 +80,7 @@ def alpha(af: ArgumentationFramework) -> Program:
     For each attack (b, a): `d(a) :- not d(b)` and `d(a) :- d(c1), ..., d(ck)`
     where the c are the attackers of b; no attackers means an empty body.
     """
-    attackers = af.attacker_index
-    clauses = set()
-    for source, target in af.attacks:
-        d_target = Literal(defeat_atom(target))
-        clauses.add(Clause(head=(d_target,), body=(Literal(defeat_atom(source), 1),)))
-        defenders = tuple(Literal(defeat_atom(c)) for c in attackers[source])
-        clauses.add(Clause(head=(d_target,), body=defenders))
-    return Program(frozenset(clauses), _defeat_signature(af))
+    return _program(af, _alpha_rules(af))
 
 
 def beta(af: ArgumentationFramework) -> Program:
@@ -62,22 +100,22 @@ def beta(af: ArgumentationFramework) -> Program:
     return Program(frozenset(clauses), af.arguments)
 
 
+def _gamma_rules(af: ArgumentationFramework) -> list[Rule]:
+    """`gamma` as integer rules: per attack (b, a), `d(a) v d(b)`, its head
+    sorted, and the defender rule."""
+    def disjunction(a, b):
+        return (((min(a, b), 0), (max(a, b), 0)) if a != b else ((a, 0),)), ()
+
+    return _defeat_rules(af, disjunction)
+
+
 def gamma(af: ArgumentationFramework) -> Program:
     """Negation-free disjunctive defeat program.
 
     For each attack (b, a): `d(a) v d(b)` and the defender rule as in `alpha`.
     A self-attack collapses the disjunction to a single head atom.
     """
-    attackers = af.attacker_index
-    clauses = set()
-    for source, target in af.attacks:
-        head = tuple(
-            Literal(a) for a in sorted({defeat_atom(target), defeat_atom(source)})
-        )
-        clauses.add(Clause(head=head))
-        defenders = tuple(Literal(defeat_atom(c)) for c in attackers[source])
-        clauses.add(Clause(head=(Literal(defeat_atom(target)),), body=defenders))
-    return Program(frozenset(clauses), _defeat_signature(af))
+    return _program(af, _gamma_rules(af))
 
 
 def lambda_(af: ArgumentationFramework) -> Program:
@@ -101,7 +139,7 @@ def stable_fragment(af: ArgumentationFramework) -> Program:
         )
         for source, target in af.attacks
     )
-    return Program(clauses, _defeat_signature(af))
+    return Program(clauses, frozenset(_defeat_atoms(af)))
 
 
 def compl(af: ArgumentationFramework, s: Iterable[str]) -> frozenset[str]:

@@ -1,8 +1,17 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import argstable
 from argstable import SolveReport, cli
 from argstable.cli import main
 from tests.common import odd_cycles, recursion_headroom
@@ -307,3 +316,104 @@ class TestErrors:
         code, _, err = run(["frobnicate"])
         assert code == 1
         assert "argstable: error:" in err
+
+
+class TestClosedOutput:
+    # 800 arguments, each attacking the next three: the size of the
+    # benchmark's translations
+    RING_APX = "".join(f"arg(a{i}).\n" for i in range(800)) + "".join(
+        f"att(a{i},a{(i + k) % 800}).\n" for i in range(800) for k in (1, 2, 3)
+    )
+
+    @pytest.mark.parametrize("argv, text", [
+        (["translate", "gamma"], RING_APX),
+        (["solve"], KNOT_APX),
+    ], ids=["translate-gamma", "solve"])
+    def test_closed_pipe_exits_1_without_traceback(self, tmp_path, argv, text):
+        path = tmp_path / "input.apx"
+        path.write_text(text)
+        env = dict(os.environ)
+        src = str(Path(argstable.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "argstable", *argv, "--input", str(path)],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        assert proc.stderr.startswith("argstable: error: cannot write output: ")
+        assert proc.stderr.count("\n") == 1
+
+
+# Generated input, well-formed or not, through every subcommand: each run
+# ends in a documented exit code, and no exception escapes `main`.
+_CLI_NAMES = ["a", "b", "c", "Xy", "n_1", "q9"]
+_CLI_NAME = st.sampled_from(_CLI_NAMES)
+_APX_PIECES = st.one_of(
+    st.builds("arg({}).".format, _CLI_NAME),
+    st.builds("att({},{}).".format, _CLI_NAME, _CLI_NAME),
+    st.sampled_from(["% note", "arg(a)", "att(a).", "arg(a,b).", "foo(a).", "arg(1).",
+                     "att( a , b ) .", "arg(zz).", "att(a,zz)."]),
+    st.text(alphabet="ab(),.% #\n_1X", max_size=8),
+)
+_TGF_PIECES = st.one_of(
+    _CLI_NAME,
+    st.just("#"),
+    st.builds("{} {}".format, _CLI_NAME, _CLI_NAME),
+    st.sampled_from(["a b c", "1x", "zz", "a zz", "# #"]),
+    st.text(alphabet="ab #\n_1X", max_size=8),
+)
+
+
+@st.composite
+def framework_texts(draw):
+    """A format and a text: a framework in that format, the same with pieces
+    of either format spliced in, or any text at all."""
+    fmt = draw(st.sampled_from(["apx", "tgf"]))
+    names = draw(st.lists(_CLI_NAME, unique=True, max_size=6))
+    pick = st.sampled_from(names or [""])
+    attacks = draw(st.lists(st.tuples(pick, pick), max_size=10 if names else 0))
+    if fmt == "apx":
+        lines = [f"arg({x})." for x in names] + [f"att({x},{y})." for x, y in attacks]
+    else:
+        lines = names + ["#"] + [f"{x} {y}" for x, y in attacks]
+    kind = draw(st.sampled_from(["framework", "framework", "spliced", "any"]))
+    if kind == "any":
+        return fmt, draw(st.text(max_size=40))
+    if kind == "spliced":
+        for piece in draw(st.lists(st.one_of(_APX_PIECES, _TGF_PIECES), min_size=1, max_size=3)):
+            lines.insert(draw(st.integers(0, len(lines))), piece)
+    return fmt, draw(st.sampled_from([" ", "\n"])).join(lines)
+
+
+_COMMAND_LINES = st.one_of(
+    st.builds(
+        lambda engine, as_json, cross: ["solve", "--engine", engine]
+        + ["--json"] * as_json + ["--cross-check"] * cross,
+        st.sampled_from(["alpha", "gamma", "lambda", "oracle"]), st.booleans(), st.booleans(),
+    ),
+    st.builds(lambda names: ["check", *names], st.lists(st.sampled_from(_CLI_NAMES + ["zz"]), max_size=3)),
+    st.builds(lambda mode, name: ["query", mode, name],
+              st.sampled_from(["--brave", "--cautious"]), st.sampled_from(_CLI_NAMES + ["zz"])),
+    st.builds(lambda target, emit: ["translate", target, "--emit", emit],
+              st.sampled_from(sorted(cli._TARGETS)), st.sampled_from(["asp", "dimacs"])),
+    st.just(["admissible"]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(framework_texts(), _COMMAND_LINES)
+def test_any_input_ends_in_a_documented_exit_code(text, argv):
+    fmt, body = text
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(body)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", fmt])
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()

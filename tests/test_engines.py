@@ -1,12 +1,17 @@
 import itertools
 import random
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-import argstable.engines
 from argstable import (
     ArgumentationFramework,
     BoundExceededError,
+    Clause,
+    Literal,
+    Program,
     check_preferred_consequence,
     check_preferred_unsat,
     compl,
@@ -26,8 +31,8 @@ from argstable import (
     stable_fragment,
     stable_models,
 )
-from argstable.logic import canonical
-from argstable.translate import alpha, gamma
+from argstable.logic import _CnfSolver, _cnf, canonical
+from argstable.translate import alpha, defeat_atom, gamma
 from tests.common import (
     EMPTY,
     CHAIN,
@@ -246,12 +251,10 @@ class TestQuery:
             query(CHAIN, "a", "plausible")
 
     def test_unknown_mode_is_rejected_before_enumerating(self, monkeypatch):
-        def enumerate_nothing(*args, **kwargs):
-            raise AssertionError("stable models enumerated for an unknown mode")
-
-        monkeypatch.setattr(argstable.engines, "stable_models", enumerate_nothing)
+        searches = count_searches(monkeypatch)
         with pytest.raises(ValueError, match="unknown query mode"):
             query(CHAIN, "a", "plausible")
+        assert searches == []
 
     def test_builds_one_solver(self, monkeypatch):
         # gamma is positive: its minimal models are its stable models
@@ -378,3 +381,89 @@ def test_long_chain_has_its_one_extension():
     af = attack_chain(1200)
     report = preferred_via_alpha(af, bound=10_000)
     assert report.extensions == (frozenset(sorted(af.arguments)[::2]),)
+
+
+# The alpha and gamma engines compile a framework straight to solver clauses,
+# with no `Clause` or `Program` on the way.  What they hand the solver must be
+# `_cnf(alpha(af))` and `_cnf(gamma(af))` exactly, order included, so that
+# every search, and so every witness, is the one the `Program` would give.
+_NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+@st.composite
+def defeat_frameworks(draw):
+    """Names of mixed case, digits and `_`; self-attacks; mutual attacks,
+    which collapse `gamma`'s disjunctions; and two arguments with equal
+    attacker sets attacking one target, which gives it a defender rule
+    twice."""
+    names = draw(st.lists(_NAME, max_size=8, unique=True))
+    if not names:
+        return ArgumentationFramework(frozenset(), frozenset())
+    pick = st.sampled_from(names)
+    attacks = set(draw(st.lists(st.tuples(pick, pick), max_size=14)))
+    attacks |= {(x, x) for x in draw(st.lists(pick, max_size=2))}
+    for x, y in draw(st.lists(st.tuples(pick, pick), max_size=2)):
+        attacks |= {(x, y), (y, x)}
+    for x, y, target in draw(st.lists(st.tuples(pick, pick, pick), max_size=2)):
+        attacks = {(s, t) for s, t in attacks if t != y}
+        attacks |= {(s, y) for s, t in attacks if t == x} | {(x, target), (y, target)}
+    return ArgumentationFramework(frozenset(names), frozenset(attacks))
+
+
+def _by_clause(af, attack_clause):
+    """A defeat theory built clause by clause: per attack (b, a),
+    `attack_clause(d(a), d(b))` and the defender rule."""
+    clauses = set()
+    for source, target in af.attacks:
+        clauses.add(attack_clause(defeat_atom(target), defeat_atom(source)))
+        defenders = sorted(defeat_atom(c) for c, t in af.attacks if t == source)
+        clauses.add(Clause(head=(defeat_atom(target),), body=tuple(defenders)))
+    return Program(frozenset(clauses), frozenset(defeat_atom(x) for x in af.arguments))
+
+
+def _solver_inputs(engine, af):
+    """The (atoms, clauses) of every `_CnfSolver` the engine builds, copied
+    before the solver reorders the literals it watches."""
+    seen = []
+    init = _CnfSolver.__init__
+
+    def recording(solver, atoms, cnf):
+        seen.append((list(atoms), [list(c) for c in cnf]))
+        init(solver, atoms, cnf)
+
+    with mock.patch.object(_CnfSolver, "__init__", recording):
+        engine(af, bound=100)
+    return seen
+
+
+@settings(deadline=None, max_examples=300)
+@given(defeat_frameworks())
+def test_engines_hand_the_solver_the_cnf_image(af):
+    by_clause = {
+        alpha: _by_clause(af, lambda a, b: Clause(head=(a,), body=(Literal(b, 1),))),
+        gamma: _by_clause(af, lambda a, b: Clause(head=tuple(sorted({a, b})))),
+    }
+    for engine, build in ((preferred_via_alpha, alpha), (preferred_via_gamma, gamma)):
+        program = build(af)
+        assert program == by_clause[build]
+        atoms, _, cnf = _cnf(program)
+        assert _solver_inputs(engine, af) == [(atoms, cnf)]
+
+
+def test_engines_build_no_clause(monkeypatch):
+    af = random_attacks(40, 0.04, 1)
+    built = []
+    post_init = Clause.__post_init__
+
+    def counted(clause):
+        built.append(clause)
+        post_init(clause)
+
+    monkeypatch.setattr(Clause, "__post_init__", counted)
+    assert alpha(af).clauses and built
+    del built[:]
+    preferred_via_alpha(af, bound=100)
+    preferred_via_gamma(af, bound=100)
+    query(af, "a0", "brave", bound=100)
+    query(af, "a0", "cautious", bound=100)
+    assert built == []

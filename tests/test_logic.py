@@ -26,7 +26,7 @@ from argstable import (
     normalize,
     stable_models,
 )
-from argstable.logic import _CnfSolver
+from argstable.logic import _CnfSolver, _cnf
 from argstable.translate import alpha, beta, defeat_map, gamma
 from tests.common import (
     FOUR_RULE_PROGRAM,
@@ -627,15 +627,16 @@ def test_incremental_solver_agrees_with_brute_force(session):
         ],
         signature=atoms,
     )
-    solver = _CnfSolver(program)
-    assert solver.index == {a: v for v, a in enumerate(atoms, 1)}
+    numbered, index, cnf = _cnf(program)
+    assert index == {a: v for v, a in enumerate(atoms, 1)}
+    solver = _CnfSolver(numbered, cnf)
     for _, assume, default in steps:
         candidates = _brute_models(n, initial + [[l] for l in assume])
         model = solver.solve(assume, default)
         assert (model is not None) == bool(candidates)
         if model is None:
             continue
-        found = frozenset(solver.index[a] for a in model)
+        found = frozenset(index[a] for a in model)
         assert found in candidates
         if all((l > 0) == default for l in assume):
             # decisions and assumptions all on the default side leave no
@@ -645,7 +646,7 @@ def test_incremental_solver_agrees_with_brute_force(session):
     extremal = brute_maximal(candidates) if enumerate_default else brute_minimal(candidates)
     # one more than there are sets, so a model found twice cannot loop forever
     found = [
-        frozenset(solver.index[a] for a in m)
+        frozenset(index[a] for a in m)
         for m in itertools.islice(solver.extremal_models(enumerate_default), (1 << n) + 1)
     ]
     assert len(found) == len(set(found))
