@@ -18,6 +18,7 @@ The ARGSTABLE_BOUND environment variable overrides the exhaustive bounds.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -250,4 +251,13 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        # unbuffered, as under `python -u`: a raw write to a pipe whose reader
+        # goes away may take part of the text and drop the rest unreported; a
+        # buffered layer writes the rest, meets the closed pipe and raises
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(io.FileIO(out.fileno(), "w", closefd=False)),
+            encoding=out.encoding, errors=out.errors, line_buffering=out.line_buffering,
+        )
     raise SystemExit(main())

@@ -11,25 +11,21 @@ from .logic import (
     DEFAULT_MODEL_BOUND,
     Interpretation,
     Literal,
-    _CnfSolver,
+    NumberedTheory,
+    _extremal_models,
     _rule_clauses,
     _solve,
     canonical,
-    check_bound,
     is_minimal_model_by_consequence,
     is_model,
     stable_models,
 )
-from .translate import (
-    _alpha_rules,
-    _defeat_atoms,
-    _gamma_rules,
-    alpha,
-    compl,
-    decode,
-    defeat_atom,
-    lambda_,
-)
+from .translate import compl, decode, defeat_atom, lambda_
+
+# The engines work on the defeat theories as integer rules, the checkers on
+# the `Program` those rules give.  The benchmark's tracer (perfbench) times
+# translation and search at the names `alpha`, `gamma` and `minimal_models`.
+from .translate import alpha_rules as alpha, gamma_rules as gamma
 
 Extension = frozenset[str]
 
@@ -65,22 +61,19 @@ def _report(engine: str, pairs) -> SolveReport:
     return SolveReport(engine, extensions, witnesses)
 
 
-def _minimal_defeat_models(af: ArgumentationFramework, rules, bound: int) -> list[Interpretation]:
-    """The minimal models, in canonical order, of the theory that `rules`
-    defines, on one solver compiled straight from its integer rules.  Its
-    clauses are `_cnf` of the theory's `Program`, in the same order, so the
-    search is the one `minimal_models` makes on that `Program`, which is
-    never built."""
-    check_bound(len(af.arguments), bound, "program signature")
-    solver = _CnfSolver(_defeat_atoms(af), _rule_clauses(rules(af)))
-    return canonical(solver.extremal_models(default=False))
+def minimal_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
+    """The minimal models of a theory given as integer rules, on one solver
+    fed their clauses straight.  Those are `_cnf` of `theory.program()`, in
+    the same order, so the search is the one `logic.minimal_models` makes on
+    that `Program`, which is never built."""
+    return _extremal_models(theory.atoms, _rule_clauses(theory.clauses), bound, maximal=False)
 
 
 def preferred_via_alpha(
     af: ArgumentationFramework, bound: int = DEFAULT_MODEL_BOUND
 ) -> SolveReport:
     """Preferred extensions read off the minimal models of the defeat theory."""
-    found = _minimal_defeat_models(af, _alpha_rules, bound)
+    found = minimal_models(alpha(af), bound)
     return _report("alpha", ((decode(af, m), m) for m in found))
 
 
@@ -89,7 +82,7 @@ def preferred_via_gamma(
 ) -> SolveReport:
     """Preferred extensions read off the stable models of the disjunctive
     program.  It is positive, so they are its minimal models."""
-    found = _minimal_defeat_models(af, _gamma_rules, bound)
+    found = minimal_models(gamma(af), bound)
     return _report("gamma", ((decode(af, m), m) for m in found))
 
 
@@ -113,7 +106,7 @@ def check_preferred_unsat(
     finds under the denials is minimal inside the complement image, and on
     failure it is the counter-model, a minimal model of the certificate."""
     s = frozenset(members)
-    theory = alpha(af)
+    theory = alpha(af).program()
     complement = compl(af, s)
     if not is_model(theory, complement):
         return PreferredCheck(False, None, "not-a-model")
@@ -133,7 +126,8 @@ def check_preferred_consequence(
     theory, and the theory plus the denial of every member entails each
     complement atom.  The members' defeat atoms are the atoms outside the
     complement image, so this is `is_minimal_model_by_consequence`."""
-    return is_minimal_model_by_consequence(alpha(af), compl(af, members), bound=bound)
+    theory = alpha(af).program()
+    return is_minimal_model_by_consequence(theory, compl(af, members), bound=bound)
 
 
 def query(

@@ -14,7 +14,7 @@ its clauses.  Exhaustive operations refuse signatures beyond `bound`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BoundExceededError
 
@@ -235,6 +235,28 @@ def _rule_clauses(rules: Iterable[Rule]) -> list[list[int]]:
             lits[v if neg & 1 else -v] = None
         cnf.append(list(lits))
     return cnf
+
+
+class NumberedTheory(NamedTuple):
+    """A theory as integer rules: atom number i names `atoms[i - 1]`, and
+    `clauses` holds the rules, deduplicated and in canonical `Clause` order,
+    so that `_rule_clauses` of them is `_cnf` of `program()`."""
+
+    atoms: list[str]
+    clauses: list[Rule]
+
+    def program(self) -> Program:
+        """The `Program` of the rules, with one shared `Literal` per atom and
+        negation depth."""
+        literals = {
+            pair: Literal(self.atoms[pair[0] - 1], pair[1])
+            for pair in {pair for head, body in self.clauses for pair in head + body}
+        }
+        clauses = [
+            Clause(tuple([literals[h] for h in head]), tuple([literals[b] for b in body]))
+            for head, body in self.clauses
+        ]
+        return Program(frozenset(clauses), frozenset(self.atoms))
 
 
 def _cnf(program: Program) -> tuple[list[str], dict[str, int], list[list[int]]]:
@@ -488,24 +510,28 @@ class _CnfSolver:
                 self._assign(v if default else -v, None)
 
 
-def _extremal_models(program: Program, bound: int, maximal: bool) -> list[Interpretation]:
-    """The minimal (or maximal) models in canonical order, one search step
-    each: decisions that set atoms false (or true) make the first model found
-    extremal (Castell et al., ECAI 1996), as `_CnfSolver.extremal_models`
-    explains, so no model is shrunk or grown."""
-    check_bound(len(program.signature), bound, "program signature")
-    atoms, _, cnf = _cnf(program)
+def _extremal_models(
+    atoms: list[str], cnf: list[list[int]], bound: int, maximal: bool
+) -> list[Interpretation]:
+    """The minimal (or maximal) models of the integer clauses `cnf` over the
+    numbered `atoms`, in canonical order, one search step each: decisions
+    that set atoms false (or true) make the first model found extremal
+    (Castell et al., ECAI 1996), as `_CnfSolver.extremal_models` explains, so
+    no model is shrunk or grown."""
+    check_bound(len(atoms), bound, "program signature")
     return canonical(_CnfSolver(atoms, cnf).extremal_models(default=maximal))
 
 
 def minimal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
     """Subset-minimal models over the signature."""
-    return _extremal_models(program, bound, maximal=False)
+    atoms, _, cnf = _cnf(program)
+    return _extremal_models(atoms, cnf, bound, maximal=False)
 
 
 def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
     """Subset-maximal models over the signature."""
-    return _extremal_models(program, bound, maximal=True)
+    atoms, _, cnf = _cnf(program)
+    return _extremal_models(atoms, cnf, bound, maximal=True)
 
 
 def is_unsatisfiable(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> bool:

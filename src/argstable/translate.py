@@ -6,9 +6,9 @@ defeated once all of b's attackers are.  Depending on the builder that comes
 out as a theory with default negation (`alpha`), a theory over the argument
 atoms themselves (`beta`), or a negation-free disjunctive program (`gamma`);
 `lambda_` adds acceptance rules so stable models carry the extension itself.
-`alpha` and `gamma` are defined once, as integer rules, which the engines
-hand to the solver directly and `alpha(af)` and `gamma(af)` turn into a
-`Program`.
+`alpha` and `gamma` are defined once, as integer rules (`alpha_rules`,
+`gamma_rules`), which the engines hand to the solver directly and
+`alpha(af)` and `gamma(af)` turn into a `Program`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import UnknownArgumentError
 from .framework import ArgumentationFramework
-from .logic import AtomMap, Clause, Literal, Program, Rule
+from .logic import AtomMap, Clause, Literal, NumberedTheory, Program, Rule
 
 
 def defeat_atom(name: str) -> str:
@@ -35,7 +35,7 @@ def _defeat_atoms(af: ArgumentationFramework) -> list[str]:
     return [defeat_atom(x) for x in sorted(af.arguments)]
 
 
-def _defeat_rules(af: ArgumentationFramework, attack_rule) -> list[Rule]:
+def _defeat_rules(af: ArgumentationFramework, attack_rule) -> NumberedTheory:
     """Per attack (b, a), `attack_rule(a, b)` over the atom numbers of d(a)
     and d(b), and the defender rule `d(a) :- d(c1), ..., d(ck)` where the c
     are the attackers of b; no attackers means an empty body.  The rules come
@@ -45,30 +45,15 @@ def _defeat_rules(af: ArgumentationFramework, attack_rule) -> list[Rule]:
     defenders = {
         x: tuple([(number[c], 0) for c in cs]) for x, cs in af.attacker_index.items()
     }
-    rules = set()
+    rules: set[Rule] = set()
     for source, target in af.attacks:
         a = number[target]
         rules.add(attack_rule(a, number[source]))
         rules.add((((a, 0),), defenders[source]))
-    return sorted(rules)
+    return NumberedTheory(_defeat_atoms(af), sorted(rules))
 
 
-def _program(af: ArgumentationFramework, rules: list[Rule]) -> Program:
-    """The `Program` of integer rules, with one shared `Literal` per atom and
-    negation depth."""
-    atoms = _defeat_atoms(af)
-    literals = {
-        pair: Literal(atoms[pair[0] - 1], pair[1])
-        for pair in {pair for head, body in rules for pair in head + body}
-    }
-    clauses = [
-        Clause(tuple([literals[h] for h in head]), tuple([literals[b] for b in body]))
-        for head, body in rules
-    ]
-    return Program(frozenset(clauses), frozenset(atoms))
-
-
-def _alpha_rules(af: ArgumentationFramework) -> list[Rule]:
+def alpha_rules(af: ArgumentationFramework) -> NumberedTheory:
     """`alpha` as integer rules: per attack (b, a), `d(a) :- not d(b)` and
     the defender rule."""
     return _defeat_rules(af, lambda a, b: (((a, 0),), ((b, 1),)))
@@ -80,7 +65,7 @@ def alpha(af: ArgumentationFramework) -> Program:
     For each attack (b, a): `d(a) :- not d(b)` and `d(a) :- d(c1), ..., d(ck)`
     where the c are the attackers of b; no attackers means an empty body.
     """
-    return _program(af, _alpha_rules(af))
+    return alpha_rules(af).program()
 
 
 def beta(af: ArgumentationFramework) -> Program:
@@ -100,7 +85,7 @@ def beta(af: ArgumentationFramework) -> Program:
     return Program(frozenset(clauses), af.arguments)
 
 
-def _gamma_rules(af: ArgumentationFramework) -> list[Rule]:
+def gamma_rules(af: ArgumentationFramework) -> NumberedTheory:
     """`gamma` as integer rules: per attack (b, a), `d(a) v d(b)`, its head
     sorted, and the defender rule."""
     def disjunction(a, b):
@@ -115,7 +100,7 @@ def gamma(af: ArgumentationFramework) -> Program:
     For each attack (b, a): `d(a) v d(b)` and the defender rule as in `alpha`.
     A self-attack collapses the disjunction to a single head atom.
     """
-    return _program(af, _gamma_rules(af))
+    return gamma_rules(af).program()
 
 
 def lambda_(af: ArgumentationFramework) -> Program:

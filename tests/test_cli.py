@@ -325,30 +325,62 @@ class TestClosedOutput:
         f"att(a{i},a{(i + k) % 800}).\n" for i in range(800) for k in (1, 2, 3)
     )
 
+    @staticmethod
+    def command(tmp_path, argv, text, *flags):
+        """`python FLAGS -m argstable ARGV --input FILE` on `text`, and an
+        environment that imports this checkout's package and leaves standard
+        output buffered unless FLAGS hold `-u`."""
+        path = tmp_path / "input.apx"
+        path.write_text(text)
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        src = str(Path(argstable.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return [sys.executable, *flags, "-m", "argstable", *argv, "--input", str(path)], env
+
+    @staticmethod
+    def assert_one_error_line(code, stderr):
+        assert code == 1
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
+        assert stderr.startswith("argstable: error: cannot write output: ")
+        assert stderr.count("\n") == 1
+
     @pytest.mark.parametrize("argv, text", [
         (["translate", "gamma"], RING_APX),
         (["solve"], KNOT_APX),
     ], ids=["translate-gamma", "solve"])
     def test_closed_pipe_exits_1_without_traceback(self, tmp_path, argv, text):
-        path = tmp_path / "input.apx"
-        path.write_text(text)
-        env = dict(os.environ)
-        src = str(Path(argstable.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cmd, env = self.command(tmp_path, argv, text)
         read, write = os.pipe()
         os.close(read)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "argstable", *argv, "--input", str(path)],
-                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+                cmd, stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
             )
         finally:
             os.close(write)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert "Exception ignored" not in proc.stderr
-        assert proc.stderr.startswith("argstable: error: cannot write output: ")
-        assert proc.stderr.count("\n") == 1
+        self.assert_one_error_line(proc.returncode, proc.stderr)
+
+    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    def test_reader_gone_mid_write_exits_1(self, tmp_path, flags):
+        # the translation, about 150 KB, outgrows the pipe, so the writer is
+        # still writing when the reader leaves after one line; unbuffered
+        # (`-u`), a raw write that takes only part of the text must not pass
+        # for success
+        cmd, env = self.command(tmp_path, ["translate", "alpha"], self.RING_APX, *flags)
+        proc = subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            assert proc.stdout.readline().startswith("d(a0) :- ")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        self.assert_one_error_line(code, stderr)
 
 
 # Generated input, well-formed or not, through every subcommand: each run
