@@ -45,8 +45,8 @@ def _frameworks():
 
 def _invocations(af):
     """solve (plain, --json, each engine, --cross-check), check on one preferred
-    and one non-preferred set, query both ways, translate alpha|gamma to
-    asp|dimacs, and admissible."""
+    and one non-preferred set, query both ways, translate alpha|gamma|lambda
+    to asp|dimacs, and admissible."""
     calls = [["solve"], ["solve", "--json"], ["solve", "--cross-check"]]
     calls += [["solve", "--engine", e] for e in ("alpha", "gamma", "lambda", "oracle")]
     first = sorted(preferred_oracle(af)[0])
@@ -56,7 +56,7 @@ def _invocations(af):
     calls += [["check", *first], ["check", *other]]
     argument = min(af.arguments)
     calls += [["query", "--brave", argument], ["query", "--cautious", argument]]
-    calls += [["translate", t, "--emit", e] for t in ("alpha", "gamma") for e in ("asp", "dimacs")]
+    calls += [["translate", t, "--emit", e] for t in ("alpha", "gamma", "lambda") for e in ("asp", "dimacs")]
     calls.append(["admissible"])
     return calls
 
@@ -108,7 +108,7 @@ def test_recording_covers_the_documented_invocations():
     assert len(GOLDEN["frameworks"]) >= 9
     sizes = {len(parse_apx(text).arguments) for text in GOLDEN["frameworks"].values()}
     assert min(sizes) <= 2 and max(sizes) >= 12
-    assert len(GOLDEN["cases"]) == 16 * len(GOLDEN["frameworks"])
+    assert len(GOLDEN["cases"]) == 18 * len(GOLDEN["frameworks"])
 
 
 if __name__ == "__main__":
