@@ -12,7 +12,7 @@ and compares their extensions.
 Exit status: 0 success or positive verdict, 1 input error or output that
 cannot be written (a closed pipe, say), 2 exhaustive bound exceeded, 3
 negative verdict, 4 engine disagreement under --cross-check.
-The ARGSTABLE_BOUND environment variable overrides the exhaustive bounds.
+A non-negative integer in ARGSTABLE_BOUND overrides the exhaustive bounds.
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ def _config(ns) -> RunConfig:
             model_bound = subset_bound = int(raw)
         except ValueError:
             raise _UsageError(f"argstable: error: ARGSTABLE_BOUND is not an integer: {raw!r}")
+        if model_bound < 0:
+            raise _UsageError(f"argstable: error: ARGSTABLE_BOUND is negative: {raw!r}")
     return RunConfig(ns.input, ns.format, model_bound, subset_bound)
 
 

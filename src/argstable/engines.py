@@ -10,22 +10,19 @@ from .framework import ArgumentationFramework
 from .logic import (
     DEFAULT_MODEL_BOUND,
     Interpretation,
-    Literal,
     NumberedTheory,
-    _extremal_models,
     _rule_clauses,
-    _solve,
     canonical,
     is_minimal_model_by_consequence,
-    is_model,
-    stable_models,
 )
-from .translate import compl, decode, defeat_atom, lambda_
+from .translate import compl, decode
 
-# The engines work on the defeat theories as integer rules, the checkers on
-# the `Program` those rules give.  The benchmark's tracer (perfbench) times
-# translation and search at the names `alpha`, `gamma` and `minimal_models`.
-from .translate import alpha_rules as alpha, gamma_rules as gamma
+# The engines and the UNSAT checker work on the theories as integer rules;
+# the consequence checker, as the reference, on the `Program` of `alpha`'s.
+# The benchmark's tracer (perfbench) times translation and search at the
+# names `alpha`, `gamma`, `lambda_`, `minimal_models` and `stable_models`.
+from .logic import _stable_models as stable_models
+from .translate import alpha_rules as alpha, gamma_rules as gamma, lambda_rules as lambda_
 
 Extension = frozenset[str]
 
@@ -62,11 +59,11 @@ def _report(engine: str, pairs) -> SolveReport:
 
 
 def minimal_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
-    """The minimal models of a theory given as integer rules, on one solver
-    fed their clauses straight.  Those are `_cnf` of `theory.program()`, in
-    the same order, so the search is the one `logic.minimal_models` makes on
-    that `Program`, which is never built."""
-    return _extremal_models(theory.atoms, _rule_clauses(theory.clauses), bound, maximal=False)
+    """The minimal models of a theory given as integer rules, on the solver
+    `theory.solver` builds.  The rules are `_cnf` of `theory.program()`, so
+    the search is the one `logic.minimal_models` makes on that `Program`,
+    which is never built."""
+    return canonical(theory.solver(bound).extremal_models(default=False))
 
 
 def preferred_via_alpha(
@@ -105,13 +102,15 @@ def check_preferred_unsat(
     conjunction must be unsatisfiable.  One solve decides it: the model it
     finds under the denials is minimal inside the complement image, and on
     failure it is the counter-model, a minimal model of the certificate."""
-    s = frozenset(members)
-    theory = alpha(af).program()
-    complement = compl(af, s)
-    if not is_model(theory, complement):
+    complement = compl(af, members)
+    theory = alpha(af)
+    # the complement image as integer literals: a member's defeat atom false
+    image = {v if a in complement else -v for v, a in enumerate(theory.atoms, 1)}
+    if any(image.isdisjoint(c) for c in _rule_clauses(theory.clauses)):
         return PreferredCheck(False, None, "not-a-model")
     # an empty conjunction negates to falsum: unsatisfiable with no solve or bound
-    found = complement and _solve(theory, bound, [Literal(defeat_atom(x), 1) for x in sorted(s)])
+    denials = [-v for v, a in enumerate(theory.atoms, 1) if a not in complement]
+    found = complement and theory.solver(bound).solve(denials)
     if found == complement:
         return PreferredCheck(True, None, None)
     return PreferredCheck(False, found, "satisfiable")

@@ -212,11 +212,6 @@ def models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpret
     return canonical(found)
 
 
-def _int_literal(index: Mapping[str, int], literal: Literal) -> int:
-    """The integer image of a literal: its atom's number, negated at odd depth."""
-    return index[literal.atom] if literal.neg % 2 == 0 else -index[literal.atom]
-
-
 # A rule `(head, body)` over numbered atoms: each side a sequence of (atom
 # number, negation depth) pairs, the integer form of a `Clause`.
 Rule = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
@@ -237,10 +232,20 @@ def _rule_clauses(rules: Iterable[Rule]) -> list[list[int]]:
     return cnf
 
 
+def _rule(clause: Clause, index: Mapping[str, int]) -> Rule:
+    """A clause as a rule over the atom numbers `index` gives."""
+    return (
+        tuple([(index[l.atom], l.neg) for l in clause.head]),
+        tuple([(index[l.atom], l.neg) for l in clause.body]),
+    )
+
+
 class NumberedTheory(NamedTuple):
     """A theory as integer rules: atom number i names `atoms[i - 1]`, and
     `clauses` holds the rules, deduplicated and in canonical `Clause` order,
-    so that `_rule_clauses` of them is `_cnf` of `program()`."""
+    so that `_cnf` of `program()` gives them back.  It is what every solver
+    is built from: `_cnf` numbers a user's `Program`, and `translate` builds
+    the defeat theories as rules outright."""
 
     atoms: list[str]
     clauses: list[Rule]
@@ -258,23 +263,25 @@ class NumberedTheory(NamedTuple):
         ]
         return Program(frozenset(clauses), frozenset(self.atoms))
 
+    def solver(self, bound: int) -> _CnfSolver:
+        """The one solver entry: the bound policy on the atoms, then a solver
+        over the integer clause of each rule."""
+        check_bound(len(self.atoms), bound, "program signature")
+        return _CnfSolver(self.atoms, _rule_clauses(self.clauses))
 
-def _cnf(program: Program) -> tuple[list[str], dict[str, int], list[list[int]]]:
-    """The integer CNF image of a program, shared by the solver and the DIMACS
-    export: the signature sorted and numbered from 1, then one integer clause
-    per clause in canonical order, as `_rule_clauses` forms it."""
+
+def _cnf(program: Program) -> NumberedTheory:
+    """The one place a user's program becomes rules, shared by the solver and
+    the DIMACS export: the signature sorted and numbered from 1, then one rule
+    per clause in canonical order."""
     atoms = sorted(program.signature)
-    index = {a: i + 1 for i, a in enumerate(atoms)}
-    cnf = _rule_clauses(
-        ([(index[l.atom], l.neg) for l in clause.head], [(index[l.atom], l.neg) for l in clause.body])
-        for clause in program.sorted_clauses()
-    )
-    return atoms, index, cnf
+    index = {a: i for i, a in enumerate(atoms, 1)}
+    return NumberedTheory(atoms, [_rule(clause, index) for clause in program.sorted_clauses()])
 
 
 class _CnfSolver:
-    """The one solver, over integer clauses on the numbered `atoms`: the image
-    `_cnf` gives a program, or the one the engines compile a framework to.
+    """The one solver, over integer clauses on the numbered `atoms`, built by
+    `NumberedTheory.solver` from a theory's rules.
     Conflict-driven clause learning after MiniSat (Eén & Sörensson, "An
     Extensible SAT-solver", SAT 2003), with two watched literals per clause
     (Moskewicz et al., "Chaff", DAC 2001).
@@ -510,39 +517,18 @@ class _CnfSolver:
                 self._assign(v if default else -v, None)
 
 
-def _extremal_models(
-    atoms: list[str], cnf: list[list[int]], bound: int, maximal: bool
-) -> list[Interpretation]:
-    """The minimal (or maximal) models of the integer clauses `cnf` over the
-    numbered `atoms`, in canonical order, one search step each: decisions
-    that set atoms false (or true) make the first model found extremal
-    (Castell et al., ECAI 1996), as `_CnfSolver.extremal_models` explains, so
-    no model is shrunk or grown."""
-    check_bound(len(atoms), bound, "program signature")
-    return canonical(_CnfSolver(atoms, cnf).extremal_models(default=maximal))
-
-
 def minimal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
     """Subset-minimal models over the signature."""
-    atoms, _, cnf = _cnf(program)
-    return _extremal_models(atoms, cnf, bound, maximal=False)
+    return canonical(_cnf(program).solver(bound).extremal_models(default=False))
 
 
 def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
     """Subset-maximal models over the signature."""
-    atoms, _, cnf = _cnf(program)
-    return _extremal_models(atoms, cnf, bound, maximal=True)
+    return canonical(_cnf(program).solver(bound).extremal_models(default=True))
 
 
 def is_unsatisfiable(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> bool:
-    return _solve(program, bound) is None
-
-
-def _solve(program: Program, bound: int, assume: Iterable[Literal] = ()) -> Interpretation | None:
-    """`_CnfSolver.solve` under assumed literals, after the bound check."""
-    check_bound(len(program.signature), bound, "program signature")
-    atoms, index, cnf = _cnf(program)
-    return _CnfSolver(atoms, cnf).solve([_int_literal(index, l) for l in assume])
+    return _cnf(program).solver(bound).solve() is None
 
 
 def entails(
@@ -560,14 +546,11 @@ def entails(
         if stray:
             raise ValueError(f"goal atoms outside the signature: {sorted(stray)}")
         if solver is None:
-            check_bound(len(program.signature), bound, "program signature")
-            atoms, index, cnf = _cnf(program)
-            solver = _CnfSolver(atoms, cnf)
-        # not (H :- B) holds exactly when every body literal holds and every
-        # head literal fails
-        denial = [_int_literal(index, b) for b in goal.body]
-        denial += [-_int_literal(index, h) for h in goal.head]
-        if solver.solve(denial) is not None:
+            solver = _cnf(program).solver(bound)
+            index = {a: i for i, a in enumerate(solver.atoms, 1)}
+        # not (H :- B) holds exactly when every literal of its clause fails
+        (clause,) = _rule_clauses([_rule(goal, index)])
+        if solver.solve([-lit for lit in clause]) is not None:
             return False
     return True
 
@@ -602,37 +585,39 @@ def gl_reduct(program: Program, s: Interpretation) -> Program:
 
 
 def stable_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
-    """All sets that are minimal models of their own reduct.
-
-    Candidates are the classical minimal models M of P: a smaller model of P
-    would model P^M too.  A positive program is its own reduct.  Otherwise
-    one solver checks every candidate (guess and check: Koch, Leone &
-    Pfeifer, AIJ 2003).  It holds P with each `not b` reading a copy b' of b,
-    b followed by the fewest primes that make every copy a new atom.  Copies
-    assumed true for the negated atoms in M drop the clauses P^M drops, the
-    others assumed false strip `not b`, and every other atom outside M
-    assumed false leaves one solve for a model of P^M minimal among those
-    within M (Castell et al. 1996, as in `_CnfSolver.extremal_models`).  M
-    models P^M, as each clause P^M keeps had its `not b` true under M, so M
-    is stable exactly when that model, its copies aside, is M."""
+    """All sets that are minimal models of their own reduct (`_stable_models`)."""
     if not program.is_general():
         raise ValueError("stable models require a general program")
-    candidates = minimal_models(program, bound=bound)
-    negated = {b.atom for c in program.clauses for b in c.body if b.neg}
+    return _stable_models(_cnf(program), bound)
+
+
+def _stable_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
+    """The stable models of a general theory given as integer rules.
+
+    Candidates are the classical minimal models M of P: a smaller model of P
+    would model P^M too.  A positive theory is its own reduct.  Otherwise
+    one solver checks every candidate (guess and check: Koch, Leone &
+    Pfeifer, AIJ 2003).  It holds P with each `not b` reading a copy of b,
+    numbered after P's n atoms: the k-th negated atom's copy is n + k.
+    Copies assumed true for the negated atoms in M drop the clauses P^M
+    drops, the others assumed false strip `not b`, and every other atom
+    outside M assumed false leaves one solve for a model of P^M minimal among
+    those within M (Castell et al. 1996, as in `_CnfSolver.extremal_models`).
+    M models P^M, as each clause P^M keeps had its `not b` true under M, so M
+    is stable exactly when that model, its copies aside, is M."""
+    candidates = canonical(theory.solver(bound).extremal_models(default=False))
+    negated = sorted({v for _, body in theory.clauses for v, neg in body if neg})
     if not negated:
         return candidates
-    prime = "'"
-    while any(b + prime in program.signature for b in negated):
-        prime += "'"
-    renamed = frozenset(
-        Clause(c.head, tuple(Literal(b.atom + prime, 1) if b.neg else b for b in c.body))
-        for c in program.clauses
-    )
-    atoms, _, cnf = _cnf(Program(renamed, program.signature | {b + prime for b in negated}))
-    solver = _CnfSolver(atoms, cnf)
+    copy = {v: k for k, v in enumerate(negated, len(theory.atoms) + 1)}
+    renamed = [(head, tuple([(copy[v], 1) if neg else (v, 0) for v, neg in body]))
+               for head, body in theory.clauses]
+    # a copy is named by its number, which no atom name, a string, equals;
+    # the copies meet no bound of their own, as the candidates met it
+    solver = NumberedTheory(theory.atoms + list(copy.values()), renamed).solver(bound + len(copy))
     found = []
     for candidate in candidates:
-        expected = candidate | {b + prime for b in negated & candidate}
+        expected = candidate | {copy[v] for v in negated if theory.atoms[v - 1] in candidate}
         assume = [v if a in expected else -v
                   for v, a in enumerate(solver.atoms, 1) if a not in candidate]
         if solver.solve(assume) == expected:
@@ -728,8 +713,10 @@ def _dimacs_name(atom: str) -> str:
 def export_dimacs(program: Program) -> tuple[str, AtomMap]:
     """CNF text for the program: comment lines naming the variables, a
     `p cnf V C` header, then one clause per line in canonical order."""
-    atoms, index, cnf = _cnf(program)
-    lines = [f"c var {index[a]} = {_dimacs_name(a)}" for a in atoms]
+    atoms, rules = _cnf(program)
+    cnf = _rule_clauses(rules)
+    lines = [f"c var {i} = {_dimacs_name(a)}" for i, a in enumerate(atoms, 1)]
     lines.append(f"p cnf {len(atoms)} {len(cnf)}")
     lines.extend(" ".join(map(str, c)) + " 0" for c in cnf)
+    index = {a: i for i, a in enumerate(atoms, 1)}
     return "".join(line + "\n" for line in lines), AtomMap(var_index=index)

@@ -6,9 +6,9 @@ defeated once all of b's attackers are.  Depending on the builder that comes
 out as a theory with default negation (`alpha`), a theory over the argument
 atoms themselves (`beta`), or a negation-free disjunctive program (`gamma`);
 `lambda_` adds acceptance rules so stable models carry the extension itself.
-`alpha` and `gamma` are defined once, as integer rules (`alpha_rules`,
-`gamma_rules`), which the engines hand to the solver directly and
-`alpha(af)` and `gamma(af)` turn into a `Program`.
+`alpha`, `gamma` and `lambda_` are defined once, as integer rules
+(`alpha_rules`, `gamma_rules`, `lambda_rules`), which the engines hand to the
+solver directly and the public builders turn into a `Program`.
 """
 
 from __future__ import annotations
@@ -103,15 +103,25 @@ def gamma(af: ArgumentationFramework) -> Program:
     return gamma_rules(af).program()
 
 
+def lambda_rules(af: ArgumentationFramework) -> NumberedTheory:
+    """`lambda_` as integer rules: `gamma`'s, renumbered over the argument and
+    defeat atoms sorted together, plus `x :- not d(x)` per argument x.
+    Numbers sort as the atoms they name, so the sorted rules are in canonical
+    `Clause` order."""
+    base = gamma_rules(af)
+    atoms = sorted(base.atoms + list(af.arguments))
+    index = {a: i for i, a in enumerate(atoms, 1)}
+    new = {v: index[a] for v, a in enumerate(base.atoms, 1)}
+    rules = [(tuple([(new[v], n) for v, n in head]), tuple([(new[v], n) for v, n in body]))
+             for head, body in base.clauses]
+    rules += [(((index[x], 0),), ((index[defeat_atom(x)], 1),)) for x in af.arguments]
+    return NumberedTheory(atoms, sorted(rules))
+
+
 def lambda_(af: ArgumentationFramework) -> Program:
     """`gamma` plus an acceptance rule `x :- not d(x)` per argument, so each
     stable model lists the accepted arguments next to the defeated ones."""
-    base = gamma(af)
-    acceptance = frozenset(
-        Clause(head=(Literal(x),), body=(Literal(defeat_atom(x), 1),))
-        for x in af.arguments
-    )
-    return Program(base.clauses | acceptance, base.signature | af.arguments)
+    return lambda_rules(af).program()
 
 
 def stable_fragment(af: ArgumentationFramework) -> Program:

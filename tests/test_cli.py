@@ -302,6 +302,12 @@ class TestErrors:
         assert code == 1
         assert "ARGSTABLE_BOUND is not an integer: 'soon'" in err
 
+    def test_bound_negative(self, run):
+        code, out, err = run(["solve"], text=CHAIN_APX, env={"ARGSTABLE_BOUND": "-1"})
+        assert code == 1
+        assert out == ""
+        assert err == "argstable: error: ARGSTABLE_BOUND is negative: '-1'\n"
+
     def test_generous_bound_is_accepted(self, run):
         code, out, _ = run(["solve"], text=CHAIN_APX, env={"ARGSTABLE_BOUND": "30"})
         assert code == 0

@@ -4,7 +4,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from argstable import (
     ArgumentationFramework,
@@ -31,7 +31,7 @@ from argstable import (
     stable_fragment,
     stable_models,
 )
-from argstable.logic import _CnfSolver, _cnf, canonical
+from argstable.logic import _CnfSolver, _cnf, _rule_clauses, canonical
 from argstable.translate import alpha, defeat_atom, gamma
 from tests.common import (
     EMPTY,
@@ -383,9 +383,10 @@ def test_long_chain_has_its_one_extension():
     assert report.extensions == (frozenset(sorted(af.arguments)[::2]),)
 
 
-# The alpha and gamma engines compile a framework straight to solver clauses,
-# with no `Clause` or `Program` on the way.  What they hand the solver must be
-# `_cnf(alpha(af))` and `_cnf(gamma(af))` exactly, order included, so that
+# The alpha, gamma and lambda engines compile a framework straight to solver
+# clauses, with no `Clause` or `Program` on the way.  What they hand the
+# (candidate) solver must be the clauses of `_cnf(alpha(af))`,
+# `_cnf(gamma(af))` and `_cnf(lambda_(af))` exactly, order included, so that
 # every search, and so every witness, is the one the `Program` would give.
 _NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
 
@@ -436,18 +437,32 @@ def _solver_inputs(engine, af):
     return seen
 
 
+# `lambda_` numbers argument and defeat atoms sorted together: `D` and `c`
+# sort before `d(`, `d` just before it, and `dA` and `e` after it
 @settings(deadline=None, max_examples=300)
+@example(ArgumentationFramework(
+    frozenset({"D", "c", "d", "dA", "e"}),
+    frozenset({("D", "dA"), ("dA", "d"), ("d", "c"), ("c", "e"), ("e", "e"), ("c", "D")}),
+))
 @given(defeat_frameworks())
 def test_engines_hand_the_solver_the_cnf_image(af):
     by_clause = {
         alpha: _by_clause(af, lambda a, b: Clause(head=(a,), body=(Literal(b, 1),))),
         gamma: _by_clause(af, lambda a, b: Clause(head=tuple(sorted({a, b})))),
     }
-    for engine, build in ((preferred_via_alpha, alpha), (preferred_via_gamma, gamma)):
+    acceptance = {Clause(head=(x,), body=(Literal(defeat_atom(x), 1),)) for x in af.arguments}
+    by_clause[lambda_] = Program(
+        by_clause[gamma].clauses | acceptance, by_clause[gamma].signature | af.arguments
+    )
+    engines = ((preferred_via_alpha, alpha), (preferred_via_gamma, gamma), (preferred_via_lambda, lambda_))
+    for engine, build in engines:
         program = build(af)
         assert program == by_clause[build]
-        atoms, _, cnf = _cnf(program)
-        assert _solver_inputs(engine, af) == [(atoms, cnf)]
+        theory = _cnf(program)
+        built = _solver_inputs(engine, af)
+        assert built[0] == (theory.atoms, _rule_clauses(theory.clauses))
+        # `lambda_` has `not`, so its engine checks the candidates on one more
+        assert len(built) == 1 + (build is lambda_ and bool(af.arguments))
 
 
 def test_engines_build_no_clause(monkeypatch):
@@ -463,7 +478,18 @@ def test_engines_build_no_clause(monkeypatch):
     assert alpha(af).clauses and built
     del built[:]
     preferred_via_alpha(af, bound=100)
-    preferred_via_gamma(af, bound=100)
+    extension = preferred_via_gamma(af, bound=100).extensions[0]
+    # lambda_ has tens of thousands of minimal models on `af`: a smaller one
+    preferred_via_lambda(random_attacks(20, 0.1, 1), bound=100)
     query(af, "a0", "brave", bound=100)
     query(af, "a0", "cautious", bound=100)
+    # one set for each way the UNSAT checker can end
+    verdicts = [
+        check_preferred_unsat(af, members, bound=100).failure
+        for members in (extension, extension - {min(extension)}, af.arguments)
+    ]
+    assert verdicts == [None, "satisfiable", "not-a-model"]
+    # `check_preferred_consequence` builds `alpha(af).program()` on purpose:
+    # it is the independent reference the UNSAT checker is tested against
+    # (`TestConsequenceChecker.test_agrees_with_unsat_checker`)
     assert built == []

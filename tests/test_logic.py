@@ -26,7 +26,7 @@ from argstable import (
     normalize,
     stable_models,
 )
-from argstable.logic import _CnfSolver, _cnf
+from argstable.logic import _cnf
 from argstable.translate import alpha, beta, defeat_map, gamma
 from tests.common import (
     FOUR_RULE_PROGRAM,
@@ -627,9 +627,10 @@ def test_incremental_solver_agrees_with_brute_force(session):
         ],
         signature=atoms,
     )
-    numbered, index, cnf = _cnf(program)
-    assert index == {a: v for v, a in enumerate(atoms, 1)}
-    solver = _CnfSolver(numbered, cnf)
+    theory = _cnf(program)
+    assert theory.atoms == atoms
+    index = {a: v for v, a in enumerate(atoms, 1)}
+    solver = theory.solver(bound=n)
     for _, assume, default in steps:
         candidates = _brute_models(n, initial + [[l] for l in assume])
         model = solver.solve(assume, default)
