@@ -56,7 +56,8 @@ def _invocations(af):
     calls += [["check", *first], ["check", *other]]
     argument = min(af.arguments)
     calls += [["query", "--brave", argument], ["query", "--cautious", argument]]
-    calls += [["translate", t, "--emit", e] for t in ("alpha", "gamma", "lambda") for e in ("asp", "dimacs")]
+    targets = ("alpha", "beta", "gamma", "lambda", "stable-fragment")
+    calls += [["translate", t, "--emit", e] for t in targets for e in ("asp", "dimacs")]
     calls.append(["admissible"])
     return calls
 
@@ -108,7 +109,7 @@ def test_recording_covers_the_documented_invocations():
     assert len(GOLDEN["frameworks"]) >= 9
     sizes = {len(parse_apx(text).arguments) for text in GOLDEN["frameworks"].values()}
     assert min(sizes) <= 2 and max(sizes) >= 12
-    assert len(GOLDEN["cases"]) == 18 * len(GOLDEN["frameworks"])
+    assert len(GOLDEN["cases"]) == 22 * len(GOLDEN["frameworks"])
 
 
 if __name__ == "__main__":
