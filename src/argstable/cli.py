@@ -22,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engines import (
     SolveReport,
@@ -34,9 +34,15 @@ from .engines import (
 )
 from .errors import BoundExceededError, ParseError, UnknownArgumentError
 from .framework import ArgumentationFramework, parse_apx, parse_tgf
-from .logic import DEFAULT_MODEL_BOUND, export_dimacs
+from .logic import DEFAULT_MODEL_BOUND
 from .oracle import DEFAULT_SUBSET_BOUND, enumerate_admissible, preferred_oracle
-from .translate import alpha, beta, gamma, lambda_, stable_fragment
+from .translate import (
+    alpha_rules,
+    beta_rules,
+    gamma_rules,
+    lambda_rules,
+    stable_fragment_rules,
+)
 
 _ENGINES = {
     "alpha": preferred_via_alpha,
@@ -44,12 +50,13 @@ _ENGINES = {
     "lambda": preferred_via_lambda,
 }
 
+# each target's integer rules, which `translate` emits with no `Program` built
 _TARGETS = {
-    "alpha": alpha,
-    "beta": beta,
-    "gamma": gamma,
-    "lambda": lambda_,
-    "stable-fragment": stable_fragment,
+    "alpha": alpha_rules,
+    "beta": beta_rules,
+    "gamma": gamma_rules,
+    "lambda": lambda_rules,
+    "stable-fragment": stable_fragment_rules,
 }
 
 
@@ -62,8 +69,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}argstable: error: {message}")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     input_path: str
     input_format: str
     model_bound: int
@@ -124,10 +130,11 @@ def _config(ns) -> RunConfig:
 
 def _load(config: RunConfig) -> ArgumentationFramework:
     try:
+        # a leading byte-order mark, as some editors write, is no part of the text
         if config.input_path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.read().removeprefix("\ufeff")
         else:
-            with open(config.input_path, encoding="utf-8") as handle:
+            with open(config.input_path, encoding="utf-8-sig") as handle:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"argstable: error: cannot read {config.input_path}: {exc}")
@@ -202,12 +209,8 @@ def _cmd_query(ns, af: ArgumentationFramework, config: RunConfig) -> int:
 
 
 def _cmd_translate(ns, af: ArgumentationFramework, config: RunConfig) -> int:
-    program = _TARGETS[ns.target](af)
-    if ns.emit == "asp":
-        sys.stdout.write(program.to_asp())
-    else:
-        text, _ = export_dimacs(program)
-        sys.stdout.write(text)
+    theory = _TARGETS[ns.target](af)
+    sys.stdout.write(theory.to_asp() if ns.emit == "asp" else theory.to_dimacs())
     return 0
 
 

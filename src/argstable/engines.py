@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .errors import UnknownArgumentError
@@ -27,16 +26,23 @@ from .translate import alpha_rules as alpha, gamma_rules as gamma, lambda_rules 
 Extension = frozenset[str]
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """Extensions found by one engine, with the model that produced each."""
-
+class _SolveReportFields(NamedTuple):
     engine: str
     extensions: tuple[Extension, ...]
     witnesses: Mapping[Extension, Interpretation]
 
-    def __post_init__(self):
-        object.__setattr__(self, "witnesses", dict(self.witnesses))
+
+class SolveReport(_SolveReportFields):
+    """Extensions found by one engine, with the model that produced each."""
+
+    __slots__ = ()
+
+    def __new__(cls, engine: str, extensions: tuple[Extension, ...],
+                witnesses: Mapping[Extension, Interpretation]):
+        return tuple.__new__(cls, (engine, extensions, dict(witnesses)))
+
+    # `_replace` builds through `_make`, so it too copies the witnesses
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class PreferredCheck(NamedTuple):
@@ -45,8 +51,7 @@ class PreferredCheck(NamedTuple):
     failure: str | None  # "not-a-model" or "satisfiable" when holds is False
 
 
-@dataclass(frozen=True)
-class QueryVerdict:
+class QueryVerdict(NamedTuple):
     mode: str
     holds: bool
     evidence: Interpretation | None

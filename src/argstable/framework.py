@@ -9,10 +9,9 @@ parse/serialize round-trips are stable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ParseError, UnknownArgumentError
 
@@ -27,24 +26,30 @@ def _valid_name(name: str) -> bool:
     return bool(_NAME.match(name))
 
 
-@dataclass(frozen=True)
-class ArgumentationFramework:
-    """Immutable framework value; attacks may only reference declared arguments."""
-
+class _FrameworkFields(NamedTuple):
     arguments: frozenset[str]
     attacks: frozenset[tuple[str, str]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "arguments", frozenset(self.arguments))
-        object.__setattr__(self, "attacks", frozenset(tuple(p) for p in self.attacks))
-        for name in self.arguments:
+
+class ArgumentationFramework(_FrameworkFields):
+    """Immutable framework value; attacks may only reference declared arguments.
+    A `NamedTuple` with a `__dict__`, which caches `attacker_index`."""
+
+    def __new__(cls, arguments: Iterable[str], attacks: Iterable[tuple[str, str]]):
+        arguments = frozenset(arguments)
+        attacks = frozenset(tuple(p) for p in attacks)
+        for name in arguments:
             if not isinstance(name, str) or not _valid_name(name):
                 raise ValueError(f"invalid argument name: {name!r}")
-        for source, target in self.attacks:
-            if source not in self.arguments or target not in self.arguments:
+        for source, target in attacks:
+            if source not in arguments or target not in arguments:
                 raise ValueError(
                     f"attack ({source},{target}) references an undeclared argument"
                 )
+        return tuple.__new__(cls, (arguments, attacks))
+
+    # `_replace` builds through `_make`, so it too validates
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @cached_property
     def attacker_index(self) -> Mapping[str, tuple[str, ...]]:

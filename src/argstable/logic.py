@@ -4,7 +4,9 @@ A clause is a disjunction of head literals implied by a conjunction of body
 literals; an empty head reads as falsum (a constraint) and an empty body as
 verum (a fact).  Literals carry a negation depth instead of a boolean so that
 rewriting passes can introduce double negation without simplifying it away;
-cancellation happens only in the separate `normalize` pass.
+cancellation happens only in the separate `normalize` pass.  `Literal`,
+`Clause`, `Program` and `AtomMap` are `NamedTuple`s whose `__new__` checks
+and coerces their fields.
 
 Interpretations are plain frozensets of true atoms, judged against a program's
 declared signature, which may be larger than the set of atoms that occur in
@@ -13,7 +15,6 @@ its clauses.  Exhaustive operations refuse signatures beyond `bound`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BoundExceededError
@@ -23,16 +24,23 @@ DEFAULT_MODEL_BOUND = 24
 Interpretation = frozenset[str]
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class _LiteralFields(NamedTuple):
     atom: str
     neg: int = 0
 
-    def __post_init__(self):
-        if not isinstance(self.atom, str) or not self.atom:
-            raise ValueError(f"invalid atom: {self.atom!r}")
-        if self.neg < 0:
+
+class Literal(_LiteralFields):
+    __slots__ = ()
+
+    def __new__(cls, atom: str, neg: int = 0):
+        if not isinstance(atom, str) or not atom:
+            raise ValueError(f"invalid atom: {atom!r}")
+        if neg < 0:
             raise ValueError("negation depth must be non-negative")
+        return tuple.__new__(cls, (atom, neg))
+
+    # `_replace` builds through `_make`, so it too validates
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def negate(self) -> "Literal":
         return Literal(self.atom, self.neg + 1)
@@ -57,22 +65,28 @@ def _as_literal(value) -> Literal:
     raise TypeError(f"expected Literal or atom name, got {value!r}")
 
 
-@dataclass(frozen=True, order=True)
-class Clause:
+class _ClauseFields(NamedTuple):
+    head: tuple[Literal, ...] = ()
+    body: tuple[Literal, ...] = ()
+
+
+class Clause(_ClauseFields):
     """`h1 v ... v hm :- l1, ..., ln` with m + n > 0.
 
     Plain general clauses keep heads at negation depth 0 and bodies at depth
     at most 1; transformation passes may build clauses outside that shape.
     """
 
-    head: tuple[Literal, ...] = ()
-    body: tuple[Literal, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "head", tuple(_as_literal(h) for h in self.head))
-        object.__setattr__(self, "body", tuple(_as_literal(b) for b in self.body))
-        if not self.head and not self.body:
+    def __new__(cls, head: Iterable = (), body: Iterable = ()):
+        head = tuple([_as_literal(h) for h in head])
+        body = tuple([_as_literal(b) for b in body])
+        if not head and not body:
             raise ValueError("a clause needs at least one head or body literal")
+        return tuple.__new__(cls, (head, body))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def is_constraint(self) -> bool:
@@ -92,37 +106,36 @@ class Clause:
         return frozenset(l.atom for l in self.head + self.body)
 
     def __str__(self) -> str:
-        head_text = " v ".join(str(h) for h in self.head)
-        body_text = ", ".join(str(b) for b in self.body)
-        if not self.head:
-            return f":- {body_text}."
-        if not self.body:
-            return f"{head_text}."
-        return f"{head_text} :- {body_text}."
+        return _clause_text([str(h) for h in self.head], [str(b) for b in self.body])
 
 
-def _clause_key(clause: Clause) -> tuple:
-    # each literal contributes its atom and its depth, so comparing the flat
-    # tuples compares literal by literal, and a proper prefix sorts first
-    return (
-        tuple([x for l in clause.head for x in (l.atom, l.neg)]),
-        tuple([x for l in clause.body for x in (l.atom, l.neg)]),
-    )
+def _clause_text(head: list[str], body: list[str]) -> str:
+    """A clause in ASP syntax, from the text of its literals."""
+    if not head:
+        return f":- {', '.join(body)}."
+    if not body:
+        return f"{' v '.join(head)}."
+    return f"{' v '.join(head)} :- {', '.join(body)}."
 
 
-@dataclass(frozen=True)
-class Program:
-    """A finite clause set with an explicit signature."""
-
+class _ProgramFields(NamedTuple):
     clauses: frozenset[Clause]
     signature: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", frozenset(self.clauses))
-        object.__setattr__(self, "signature", frozenset(self.signature))
+
+class Program(_ProgramFields):
+    """A finite clause set with an explicit signature."""
+
+    __slots__ = ()
+
+    def __new__(cls, clauses: Iterable[Clause], signature: Iterable[str]):
+        self = tuple.__new__(cls, (frozenset(clauses), frozenset(signature)))
         stray = self.occurring_atoms() - self.signature
         if stray:
             raise ValueError(f"clause atoms outside the signature: {sorted(stray)}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def of(cls, clauses: Iterable[Clause], signature: Iterable[str] | None = None) -> "Program":
@@ -135,11 +148,10 @@ class Program:
         return frozenset(a for c in self.clauses for a in c.atoms())
 
     def sorted_clauses(self) -> list[Clause]:
-        """The clauses in canonical order, the one `Clause`'s generated
-        comparisons define: by head, then by body, literal by literal, each
-        literal by atom and then negation depth.  A key of plain tuples gives
-        that order without a generated `__lt__` call per comparison."""
-        return sorted(self.clauses, key=_clause_key)
+        """The clauses in canonical order, the order of `Clause` tuples: by
+        head, then by body, literal by literal, each literal by atom and then
+        negation depth."""
+        return sorted(self.clauses)
 
     def is_general(self) -> bool:
         return all(c.is_general() for c in self.clauses)
@@ -148,8 +160,9 @@ class Program:
         return all(c.is_positive() for c in self.clauses)
 
     def to_asp(self) -> str:
-        """One clause per line, canonical order, `not` for negation."""
-        return "".join(str(c) + "\n" for c in self.sorted_clauses())
+        """One clause per line, canonical order, `not` for negation: the ASP
+        emitter of `NumberedTheory` on `_cnf` of the program."""
+        return _cnf(self).to_asp()
 
     def __str__(self) -> str:
         return self.to_asp()
@@ -244,8 +257,9 @@ class NumberedTheory(NamedTuple):
     """A theory as integer rules: atom number i names `atoms[i - 1]`, and
     `clauses` holds the rules, deduplicated and in canonical `Clause` order,
     so that `_cnf` of `program()` gives them back.  It is what every solver
-    is built from: `_cnf` numbers a user's `Program`, and `translate` builds
-    the defeat theories as rules outright."""
+    is built from and what every text is emitted from: `_cnf` numbers a
+    user's `Program`, and `translate` builds its theories as rules outright,
+    so `argstable translate` never builds a `Clause`."""
 
     atoms: list[str]
     clauses: list[Rule]
@@ -262,6 +276,29 @@ class NumberedTheory(NamedTuple):
             for head, body in self.clauses
         ]
         return Program(frozenset(clauses), frozenset(self.atoms))
+
+    def to_asp(self) -> str:
+        """The ASP emitter: one rule per line, in order, as `str` of its
+        `Clause` reads."""
+        text = {
+            pair: "not " * pair[1] + self.atoms[pair[0] - 1]
+            for pair in {pair for head, body in self.clauses for pair in head + body}
+        }
+        return "".join(
+            _clause_text([text[h] for h in head], [text[b] for b in body]) + "\n"
+            for head, body in self.clauses
+        )
+
+    def to_dimacs(self) -> str:
+        """The DIMACS emitter: comment lines naming the variables, with `(`
+        as `_` and `)` dropped, a `p cnf V C` header, then the integer clause
+        of each rule in order."""
+        cnf = _rule_clauses(self.clauses)
+        lines = [f"c var {i} = {a.replace('(', '_').replace(')', '')}\n"
+                 for i, a in enumerate(self.atoms, 1)]
+        lines.append(f"p cnf {len(self.atoms)} {len(cnf)}\n")
+        lines += [" ".join(map(str, c)) + " 0\n" for c in cnf]
+        return "".join(lines)
 
     def solver(self, bound: int) -> _CnfSolver:
         """The one solver entry: the bound policy on the atoms, then a solver
@@ -641,26 +678,27 @@ def is_minimal_model_by_consequence(
     return entails(strengthened, goal, bound=bound)
 
 
-@dataclass(frozen=True)
-class AtomMap:
+class _AtomMapFields(NamedTuple):
+    forward: Mapping[str, str]
+    var_index: Mapping[str, int]
+
+
+class AtomMap(_AtomMapFields):
     """A bijection between source and target atoms, with an optional dense
     1-based variable numbering used by the DIMACS export."""
 
-    forward: Mapping[str, str] = field(default_factory=dict)
-    var_index: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "forward", dict(self.forward))
-        object.__setattr__(self, "var_index", dict(self.var_index))
+    def __new__(cls, forward: Mapping[str, str] = {}, var_index: Mapping[str, int] = {}):
+        self = tuple.__new__(cls, (dict(forward), dict(var_index)))
         if len(set(self.forward.values())) != len(self.forward):
             raise ValueError("atom map is not a bijection")
         if self.var_index:
             indices = sorted(self.var_index.values())
             if indices != list(range(1, len(indices) + 1)):
                 raise ValueError("variable indices must be dense from 1")
-        object.__setattr__(
-            self, "_inverse", {v: k for k, v in self.forward.items()}
-        )
+        self._inverse = {v: k for k, v in self.forward.items()}
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def apply(self, atom: str) -> str:
         return self.forward[atom]
@@ -706,17 +744,9 @@ def normalize(program: Program) -> Program:
     return Program(frozenset(rewritten), program.signature)
 
 
-def _dimacs_name(atom: str) -> str:
-    return atom.replace("(", "_").replace(")", "")
-
-
 def export_dimacs(program: Program) -> tuple[str, AtomMap]:
-    """CNF text for the program: comment lines naming the variables, a
-    `p cnf V C` header, then one clause per line in canonical order."""
-    atoms, rules = _cnf(program)
-    cnf = _rule_clauses(rules)
-    lines = [f"c var {i} = {_dimacs_name(a)}" for i, a in enumerate(atoms, 1)]
-    lines.append(f"p cnf {len(atoms)} {len(cnf)}")
-    lines.extend(" ".join(map(str, c)) + " 0" for c in cnf)
-    index = {a: i for i, a in enumerate(atoms, 1)}
-    return "".join(line + "\n" for line in lines), AtomMap(var_index=index)
+    """CNF text for the program, the DIMACS emitter of `NumberedTheory` on
+    `_cnf` of the program, and the variable numbering it uses."""
+    theory = _cnf(program)
+    index = {a: i for i, a in enumerate(theory.atoms, 1)}
+    return theory.to_dimacs(), AtomMap(var_index=index)

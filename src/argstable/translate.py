@@ -5,10 +5,13 @@ attack (b, a), clauses saying that a is defeated unless b is, and that a is
 defeated once all of b's attackers are.  Depending on the builder that comes
 out as a theory with default negation (`alpha`), a theory over the argument
 atoms themselves (`beta`), or a negation-free disjunctive program (`gamma`);
-`lambda_` adds acceptance rules so stable models carry the extension itself.
-`alpha`, `gamma` and `lambda_` are defined once, as integer rules
-(`alpha_rules`, `gamma_rules`, `lambda_rules`), which the engines hand to the
-solver directly and the public builders turn into a `Program`.
+`lambda_` adds acceptance rules so stable models carry the extension itself,
+and `stable_fragment` keeps only `alpha`'s negative half.  Each is defined
+once, as integer rules (`alpha_rules`, `beta_rules`, `gamma_rules`,
+`lambda_rules`, `stable_fragment_rules`), a `NumberedTheory` in canonical
+order.  The engines hand the rules to the solver, `argstable translate`
+emits them as ASP or DIMACS text, and the public builders turn them into a
+`Program`; no builder constructs a `Clause` itself.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable
 
 from .errors import UnknownArgumentError
 from .framework import ArgumentationFramework
-from .logic import AtomMap, Clause, Literal, NumberedTheory, Program, Rule
+from .logic import AtomMap, NumberedTheory, Program, Rule
 
 
 def defeat_atom(name: str) -> str:
@@ -35,16 +38,24 @@ def _defeat_atoms(af: ArgumentationFramework) -> list[str]:
     return [defeat_atom(x) for x in sorted(af.arguments)]
 
 
+def _numbered(af: ArgumentationFramework):
+    """Each argument's number, its place in sorted order from 1, and its
+    attackers as positive literals over those numbers, in sorted order.
+    Numbers sort as the names do, and as their defeat atoms, so rules over
+    them sort into the canonical `Clause` order."""
+    number = {x: i for i, x in enumerate(sorted(af.arguments), 1)}
+    attackers = {
+        x: tuple([(number[c], 0) for c in cs]) for x, cs in af.attacker_index.items()
+    }
+    return number, attackers
+
+
 def _defeat_rules(af: ArgumentationFramework, attack_rule) -> NumberedTheory:
     """Per attack (b, a), `attack_rule(a, b)` over the atom numbers of d(a)
     and d(b), and the defender rule `d(a) :- d(c1), ..., d(ck)` where the c
     are the attackers of b; no attackers means an empty body.  The rules come
-    deduplicated and sorted, which is the canonical `Clause` order: numbers
-    sort as the atoms they name."""
-    number = {x: i for i, x in enumerate(sorted(af.arguments), 1)}
-    defenders = {
-        x: tuple([(number[c], 0) for c in cs]) for x, cs in af.attacker_index.items()
-    }
+    deduplicated and sorted, which is the canonical `Clause` order."""
+    number, defenders = _numbered(af)
     rules: set[Rule] = set()
     for source, target in af.attacks:
         a = number[target]
@@ -68,6 +79,18 @@ def alpha(af: ArgumentationFramework) -> Program:
     return alpha_rules(af).program()
 
 
+def beta_rules(af: ArgumentationFramework) -> NumberedTheory:
+    """`beta` as integer rules over the arguments, numbered in sorted order:
+    per attack (b, a), `not b :- a` and `c1 v ... v ck :- a`."""
+    number, attackers = _numbered(af)
+    rules: set[Rule] = set()
+    for source, target in af.attacks:
+        body = ((number[target], 0),)
+        rules.add((((number[source], 1),), body))
+        rules.add((attackers[source], body))
+    return NumberedTheory(sorted(af.arguments), sorted(rules))
+
+
 def beta(af: ArgumentationFramework) -> Program:
     """Acceptance theory over the argument atoms themselves.
 
@@ -75,14 +98,7 @@ def beta(af: ArgumentationFramework) -> Program:
     attack b; with no such c the head is empty, a constraint on a.  Its
     maximal models are the preferred extensions.
     """
-    attackers = af.attacker_index
-    clauses = set()
-    for source, target in af.attacks:
-        body = (Literal(target),)
-        clauses.add(Clause(head=(Literal(source, 1),), body=body))
-        helpers = tuple(Literal(c) for c in attackers[source])
-        clauses.add(Clause(head=helpers, body=body))
-    return Program(frozenset(clauses), af.arguments)
+    return beta_rules(af).program()
 
 
 def gamma_rules(af: ArgumentationFramework) -> NumberedTheory:
@@ -124,17 +140,18 @@ def lambda_(af: ArgumentationFramework) -> Program:
     return lambda_rules(af).program()
 
 
+def stable_fragment_rules(af: ArgumentationFramework) -> NumberedTheory:
+    """`stable_fragment` as integer rules: `alpha`'s rule `d(a) :- not d(b)`
+    per attack (b, a), without the defender rules."""
+    number, _ = _numbered(af)
+    rules = {(((number[target], 0),), ((number[source], 1),)) for source, target in af.attacks}
+    return NumberedTheory(_defeat_atoms(af), sorted(rules))
+
+
 def stable_fragment(af: ArgumentationFramework) -> Program:
     """Only the negative-body half of `alpha`: `d(a) :- not d(b)` per attack.
     Its stable models correspond to the stable extensions."""
-    clauses = frozenset(
-        Clause(
-            head=(Literal(defeat_atom(target)),),
-            body=(Literal(defeat_atom(source), 1),),
-        )
-        for source, target in af.attacks
-    )
-    return Program(clauses, frozenset(_defeat_atoms(af)))
+    return stable_fragment_rules(af).program()
 
 
 def compl(af: ArgumentationFramework, s: Iterable[str]) -> frozenset[str]:

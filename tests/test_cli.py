@@ -246,6 +246,11 @@ class TestTranslate:
         assert code == 0
         assert out == "d(b) :- not d(a).\nd(c) :- not d(b).\n"
 
+    def test_beta_asp(self, run):
+        code, out, _ = run(["translate", "beta"], text=CHAIN_APX)
+        assert code == 0
+        assert out == ":- b.\na :- c.\nnot a :- b.\nnot b :- c.\n"
+
     def test_unknown_target(self, run):
         code, _, err = run(["translate", "delta"], text=CHAIN_APX)
         assert code == 1
@@ -288,6 +293,16 @@ class TestErrors:
         code, _, err = run(["solve"])
         assert code == 1
         assert err.startswith("argstable: error: cannot read -: 'utf-8' codec can't decode")
+
+    def test_file_with_byte_order_mark(self, run, tmp_path):
+        path = tmp_path / "bom.apx"
+        path.write_bytes(b"\xef\xbb\xbf" + KNOT_APX.encode())
+        assert run(["solve", "--input", str(path)]) == (0, "{a}\n{b,d}\n", "")
+
+    def test_stdin_with_byte_order_mark(self, run, monkeypatch):
+        raw = io.BytesIO(b"\xef\xbb\xbf" + KNOT_APX.encode())
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+        assert run(["solve"]) == (0, "{a}\n{b,d}\n", "")
 
     def test_bound_exceeded(self, run):
         code, _, err = run(["solve"], text=CHAIN_APX, env={"ARGSTABLE_BOUND": "2"})
@@ -455,3 +470,60 @@ def test_any_input_ends_in_a_documented_exit_code(text, argv):
         code = main(argv + ["--format", fmt])
     assert code in range(5)
     assert "Traceback" not in err.getvalue()
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # `python -S`: no site hooks, so only the package's own imports count
+    src = str(Path(argstable.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import argstable.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# Names mix case, digits and `_`, so the emitters must number and order the
+# atoms exactly as the clauses sort.
+_MIXED_NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,2}", fullmatch=True)
+
+
+@st.composite
+def mixed_frameworks(draw):
+    names = sorted(draw(st.frozensets(_MIXED_NAME, max_size=6)))
+    pairs = [(x, y) for x in names for y in names]
+    attacks = draw(st.frozensets(st.sampled_from(pairs))) if pairs else frozenset()
+    return argstable.ArgumentationFramework(names, attacks)
+
+
+def reference_dimacs(program):
+    """DIMACS text built clause by clause: the signature sorted and numbered
+    from 1, then each clause in sorted order, head literals at their parity
+    and body literals flipped, a repeated literal kept where it first
+    occurs."""
+    atoms = sorted(program.signature)
+    number = {a: i for i, a in enumerate(atoms, 1)}
+    sign = lambda literal: 1 if literal.neg % 2 == 0 else -1
+    rows = []
+    for clause in sorted(program.clauses):
+        lits = [sign(h) * number[h.atom] for h in clause.head]
+        lits += [-sign(b) * number[b.atom] for b in clause.body]
+        rows.append(" ".join(str(x) for x in dict.fromkeys(lits)) + " 0\n")
+    names = [f"c var {i} = {a.replace('(', '_').replace(')', '')}\n" for a, i in number.items()]
+    return "".join(names) + f"p cnf {len(atoms)} {len(rows)}\n" + "".join(rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(mixed_frameworks(), st.sampled_from(sorted(cli._TARGETS)))
+def test_translate_emits_the_sorted_clauses(af, target):
+    program = cli._TARGETS[target](af).program()
+    expected = {
+        "asp": "".join(str(c) + "\n" for c in sorted(program.clauses)),
+        "dimacs": reference_dimacs(program),
+    }
+    for emit, text in expected.items():
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(af.to_apx())), contextlib.redirect_stdout(out):
+            assert main(["translate", target, "--emit", emit]) == 0
+        assert out.getvalue() == text

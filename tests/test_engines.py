@@ -1,5 +1,7 @@
+import io
 import itertools
 import random
+import sys
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -31,6 +33,7 @@ from argstable import (
     stable_fragment,
     stable_models,
 )
+from argstable import cli
 from argstable.logic import _CnfSolver, _cnf, _rule_clauses, canonical
 from argstable.translate import alpha, defeat_atom, gamma
 from tests.common import (
@@ -465,16 +468,17 @@ def test_engines_hand_the_solver_the_cnf_image(af):
         assert len(built) == 1 + (build is lambda_ and bool(af.arguments))
 
 
-def test_engines_build_no_clause(monkeypatch):
+def test_engines_build_no_clause(monkeypatch, capsys):
     af = random_attacks(40, 0.04, 1)
     built = []
-    post_init = Clause.__post_init__
+    new = Clause.__new__
 
-    def counted(clause):
+    def counted(cls, *args, **kwargs):
+        clause = new(cls, *args, **kwargs)
         built.append(clause)
-        post_init(clause)
+        return clause
 
-    monkeypatch.setattr(Clause, "__post_init__", counted)
+    monkeypatch.setattr(Clause, "__new__", staticmethod(counted))
     assert alpha(af).clauses and built
     del built[:]
     preferred_via_alpha(af, bound=100)
@@ -492,4 +496,11 @@ def test_engines_build_no_clause(monkeypatch):
     # `check_preferred_consequence` builds `alpha(af).program()` on purpose:
     # it is the independent reference the UNSAT checker is tested against
     # (`TestConsequenceChecker.test_agrees_with_unsat_checker`)
+    # `translate` emits every target straight from its integer rules
+    monkeypatch.setattr("sys.stdin", io.StringIO(af.to_apx()))
+    for target in cli._TARGETS:
+        for emit in ("asp", "dimacs"):
+            sys.stdin.seek(0)
+            assert cli.main(["translate", target, "--emit", emit]) == 0
+            assert capsys.readouterr().out
     assert built == []

@@ -112,6 +112,16 @@ class TestConstruction:
         assert isinstance(af.arguments, frozenset)
         assert isinstance(af.attacks, frozenset)
 
+    def test_named_tuple_fields(self):
+        af = ArgumentationFramework(["a", "b"], [("a", "b")])
+        assert af == (frozenset({"a", "b"}), frozenset({("a", "b")}))
+        assert repr(af).startswith("ArgumentationFramework(arguments=frozenset(")
+        with pytest.raises(AttributeError):
+            af.attacks = frozenset()
+        assert af._replace(attacks=[["b", "a"]]).attacks == {("b", "a")}
+        with pytest.raises(ValueError):
+            af._replace(attacks={("a", "z")})
+
 
 class TestPredicates:
     def test_attackers(self):

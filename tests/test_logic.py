@@ -80,6 +80,18 @@ class TestClause:
         assert c.head == (Literal("a"),)
         assert c.body == (Literal("b"),)
 
+    def test_named_tuple_fields(self):
+        c = Clause(head=("a",))
+        assert c == ((Literal("a"),), ()) and Literal("a", 1) == ("a", 1)
+        assert repr(c) == "Clause(head=(Literal(atom='a', neg=0),), body=())"
+        with pytest.raises(AttributeError):
+            c.body = ()
+        assert c._replace(body=("b",)).body == (Literal("b"),)
+        with pytest.raises(ValueError):
+            c._replace(head=())
+        with pytest.raises(ValueError):
+            Literal("a")._replace(neg=-1)
+
     def test_classification(self):
         assert clause(["a"], [Literal("b", 1)]).is_general()
         assert not clause([Literal("a", 1)]).is_general()
@@ -325,7 +337,8 @@ def general_programs(draw):
     over a signature that may declare unused atoms."""
     clauses = []
     for _ in range(draw(st.integers(1, 6))):
-        head = draw(st.lists(st.builds(Literal, _pool), max_size=3))
+        # the depth is given: `builds` would fill a defaulted `NamedTuple` field
+        head = draw(st.lists(st.builds(Literal, _pool, st.just(0)), max_size=3))
         body_literals = st.builds(Literal, _pool, st.integers(0, 1))
         body = draw(st.lists(body_literals, min_size=0 if head else 1, max_size=3))
         clauses.append(Clause(tuple(head), tuple(body)))

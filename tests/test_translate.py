@@ -192,6 +192,19 @@ def test_translation_sizes(af):
             assert len(c.head) + len(c.body) <= n + 1
 
 
+@settings(deadline=None, max_examples=60)
+@given(frameworks())
+def test_beta_and_stable_fragment_clause_by_clause(af):
+    # the definitions, one `Clause` per attack (b, a) and rule
+    beta_clauses, fragment = set(), set()
+    for b, a in af.attacks:
+        beta_clauses.add(Clause((Literal(b, 1),), (a,)))
+        beta_clauses.add(Clause(tuple(sorted(af.attackers(b))), (a,)))
+        fragment.add(Clause((defeat_atom(a),), (Literal(defeat_atom(b), 1),)))
+    assert beta(af) == (beta_clauses, af.arguments)
+    assert stable_fragment(af) == (fragment, {defeat_atom(x) for x in af.arguments})
+
+
 def test_beta_to_alpha_on_random_frameworks():
     rng = random.Random(17)
     for _ in range(20):
