@@ -10,16 +10,33 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ParseError, UnknownArgumentError
 
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_APX_FACT = re.compile(
-    r"(?P<pred>[A-Za-z][A-Za-z0-9_]*)\s*\(\s*(?P<first>[A-Za-z][A-Za-z0-9_]*)\s*"
-    r"(?:,\s*(?P<second>[A-Za-z][A-Za-z0-9_]*)\s*)?\)\s*\."
+_N = r"[A-Za-z][A-Za-z0-9_]*"
+_NAME = re.compile(_N + r"\Z")
+# Whitespace and `%` comments, then an optional fact: `arg(x).` in group 1,
+# `att(x,y).` in groups 2-4 ("att", x, y), and any other fact shape, an
+# error, in groups 5-7; `lastindex` tells them apart.  No quantifier is
+# nested over whitespace, which would backtrack exponentially.  The scanners
+# are compiled on first use, through `re`'s cache, so a process compiles only
+# the one for the format it reads.
+_APX = (
+    r"\s*(?:%[^\n]*\s*)*"
+    rf"(?:arg\s*\(\s*({_N})\s*\)\s*\."
+    rf"|(att)\s*\(\s*({_N})\s*,\s*({_N})\s*\)\s*\."
+    rf"|({_N})\s*\(\s*({_N})\s*(?:,\s*({_N})\s*)?\)\s*\.)?"
 )
+# The characters `str.splitlines` ends a line at; blanks are the other
+# whitespace, which `str.split` splits a line at.
+_BREAK = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BLANK = rf"[^\S{_BREAK}]"
+# Blank lines, then an optional line ended by a break or the end of the
+# text: a name in group 1 and maybe a second in group 2, or `#` in group 3.
+_TGF = rf"\s*(?:(?:({_N})(?:{_BLANK}+({_N}))?|(#)){_BLANK}*(?:[{_BREAK}]|\Z))?"
 
 
 def _valid_name(name: str) -> bool:
@@ -104,6 +121,14 @@ class ArgumentationFramework(_FrameworkFields):
         return s
 
 
+def _framework(arguments: frozenset[str],
+               attacks: frozenset[tuple[str, str]]) -> ArgumentationFramework:
+    """A framework built without `ArgumentationFramework`'s checks, for the
+    parsers, whose grammar already admits only valid names and whose
+    scanners reject an undeclared endpoint."""
+    return tuple.__new__(ArgumentationFramework, (arguments, attacks))
+
+
 def _line_col(text: str, pos: int) -> tuple[int, int]:
     line = text.count("\n", 0, pos) + 1
     last_nl = text.rfind("\n", 0, pos)
@@ -112,84 +137,94 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 def parse_apx(text: str) -> ArgumentationFramework:
     """Parse APX facts. Duplicate declarations are tolerated; an att fact whose
-    endpoint is never declared is an error, wherever in the file it appears."""
-    facts: list[tuple[str, str, str | None, int]] = []
-    pos, end = 0, len(text)
-    while True:
-        while pos < end:
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-            elif ch == "%":
-                nl = text.find("\n", pos)
-                pos = end if nl < 0 else nl + 1
-            else:
+    endpoint is never declared is an error, wherever in the file it appears.
+
+    One scanner reads the text: each match of `_APX` skips whitespace and
+    `%` comments and takes one fact.  A malformed fact stops it with an error
+    at the fact's line and column; the endpoints are checked once every
+    `arg` fact has been read."""
+    arguments, attacks, where = [], [], []
+    for m in re.finditer(_APX, text):
+        kind = m.lastindex
+        if kind == 1:
+            arguments.append(m[1])
+        elif kind == 4:
+            attacks.append(m.group(3, 4))
+            where.append(m.start(2))
+        elif kind is None:
+            # nothing fact-like after the whitespace and comments
+            if m.end() == len(text):
                 break
-        if pos >= end:
-            break
-        m = _APX_FACT.match(text, pos)
-        if not m:
             raise ParseError(
                 "expected a fact of the form arg(<name>). or att(<name>,<name>).",
-                *_line_col(text, pos),
+                *_line_col(text, m.end()),
             )
-        pred, first, second = m.group("pred"), m.group("first"), m.group("second")
-        if pred == "arg":
-            if second is not None:
-                raise ParseError("arg takes a single name", *_line_col(text, pos))
-        elif pred == "att":
-            if second is None:
-                raise ParseError("att takes two names", *_line_col(text, pos))
         else:
-            raise ParseError(f"unknown predicate {pred!r}", *_line_col(text, pos))
-        facts.append((pred, first, second, pos))
-        pos = m.end()
-
-    arguments = {name for pred, name, _, _ in facts if pred == "arg"}
-    attacks = set()
-    for pred, first, second, at in facts:
-        if pred != "att":
-            continue
-        for name in (first, second):
-            if name not in arguments:
-                raise ParseError(
-                    f"att references undeclared argument {name!r}", *_line_col(text, at)
-                )
-        attacks.add((first, second))
-    return ArgumentationFramework(frozenset(arguments), frozenset(attacks))
+            pred, at = m[5], _line_col(text, m.start(5))
+            if pred == "arg":
+                raise ParseError("arg takes a single name", *at)
+            if pred == "att":
+                raise ParseError("att takes two names", *at)
+            raise ParseError(f"unknown predicate {pred!r}", *at)
+    declared = frozenset(arguments)
+    if not declared.issuperset(chain.from_iterable(attacks)):
+        for pair, at in zip(attacks, where):
+            for name in pair:
+                if name not in declared:
+                    raise ParseError(
+                        f"att references undeclared argument {name!r}", *_line_col(text, at)
+                    )
+    return _framework(declared, frozenset(attacks))
 
 
 def parse_tgf(text: str) -> ArgumentationFramework:
-    """Parse TGF: node names, one per line, then ``#``, then ``src dst`` edges."""
+    """Parse TGF: node names, one per line, then ``#``, then ``src dst`` edges.
+
+    One scanner reads the text: each match of `_TGF` skips blank lines and
+    takes one line, a name, a name pair or ``#``.  Lines are numbered as
+    `str.splitlines` splits them, so ``\\r\\n``, ``\\x0c``, ``\\x1c`` and
+    U+2028, among others, end a line.  The first line out of place, by its
+    shape, its names or an undeclared endpoint, stops the scan with an error
+    at its line."""
     nodes: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    separator_seen = False
-    line_count = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line_count = lineno
-        line = raw.strip()
-        if not line:
-            continue
-        if not separator_seen:
-            if line == "#":
-                separator_seen = True
-                continue
-            tokens = line.split()
-            if len(tokens) != 1:
-                raise ParseError("expected a single node name per line", lineno, 1)
-            if not _valid_name(tokens[0]):
-                raise ParseError(f"invalid node name {tokens[0]!r}", lineno, 1)
-            nodes.add(tokens[0])
+    edges = []
+    separated = False
+    for m in re.finditer(_TGF, text):
+        kind = m.lastindex
+        if kind == 2 and separated:
+            source, target = m.group(1, 2)
+            if source not in nodes or target not in nodes:
+                raise _tgf_error(text, m.start(1), nodes, separated)
+            edges.append((source, target))
+        elif kind == 1 and not separated:
+            nodes.add(m[1])
+        elif kind == 3 and not separated:
+            separated = True
+        elif kind is None and m.end() == len(text):
+            break
         else:
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ParseError("expected an edge line '<src> <dst>'", lineno, 1)
-            for name in tokens:
-                if not _valid_name(name):
-                    raise ParseError(f"invalid node name {name!r}", lineno, 1)
-                if name not in nodes:
-                    raise ParseError(f"edge references undeclared node {name!r}", lineno, 1)
-            edges.add((tokens[0], tokens[1]))
-    if not separator_seen:
-        raise ParseError("missing '#' separator between nodes and edges", line_count + 1, 1)
-    return ArgumentationFramework(frozenset(nodes), frozenset(edges))
+            start = m.end() if kind is None else m.start(3 if kind == 3 else 1)
+            raise _tgf_error(text, start, nodes, separated)
+    if not separated:
+        raise ParseError("missing '#' separator between nodes and edges",
+                         len(text.splitlines()) + 1, 1)
+    return _framework(frozenset(nodes), frozenset(edges))
+
+
+def _tgf_error(text: str, pos: int, nodes: set[str], separated: bool) -> ParseError:
+    """The error of the TGF line whose first non-blank character is at `pos`,
+    as the line rules read: its number of tokens, then each name's shape and,
+    in an edge, whether it is declared."""
+    lineno = len((text[:pos] + "x").splitlines())  # the x keeps the last line counted
+    tokens = text[pos:].splitlines()[0].split()
+    if not separated:
+        if len(tokens) != 1:
+            return ParseError("expected a single node name per line", lineno, 1)
+        return ParseError(f"invalid node name {tokens[0]!r}", lineno, 1)
+    if len(tokens) != 2:
+        return ParseError("expected an edge line '<src> <dst>'", lineno, 1)
+    # the scanner stops only at a line with an invalid or undeclared name
+    name = next(x for x in tokens if not _valid_name(x) or x not in nodes)
+    if not _valid_name(name):
+        return ParseError(f"invalid node name {name!r}", lineno, 1)
+    return ParseError(f"edge references undeclared node {name!r}", lineno, 1)

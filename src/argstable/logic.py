@@ -348,8 +348,16 @@ class _CnfSolver:
         self.head = 0  # the trail before `head` has been propagated
         self.free = 1  # every variable below `free` has a value
         self.unsat = False  # the clauses added so far have no model
+        # a clause of two literals or more is watched at its first two, with
+        # no call per clause; the first unsatisfiable one ends the attaching
+        watches = self.watches
         for clause in cnf:
-            self.unsat = self.unsat or not self._attach(clause)
+            if len(clause) > 1:
+                watches[clause[0]].append(clause)
+                watches[clause[1]].append(clause)
+            elif not self._attach(clause):
+                self.unsat = True
+                break
 
     def solve(self, assume: Iterable[int] = (), default: bool = False) -> Interpretation | None:
         """A model of the clauses added so far and the assumed literals, or
@@ -392,16 +400,13 @@ class _CnfSolver:
         self._backtrack(0)
 
     def _attach(self, clause: list[int]) -> bool:
-        """Watch a clause's first two literals, or assign the literal of a unit
-        clause; False for an empty clause or a unit clause already false.
-        Nothing is propagated yet, so the first propagation visits every
-        clause that watches a literal the units falsify."""
-        if len(clause) > 1:
-            self.watches[clause[0]].append(clause)
-            self.watches[clause[1]].append(clause)
-        elif not clause or self.value[clause[0]] is False:
+        """Assign the literal of a unit clause; False for an empty clause or a
+        unit clause already false.  Nothing is propagated yet, so the first
+        propagation visits every clause that watches a literal the units
+        falsify."""
+        if not clause or self.value[clause[0]] is False:
             return False
-        elif self.value[clause[0]] is None:
+        if self.value[clause[0]] is None:
             self._assign(clause[0], clause)
         return True
 

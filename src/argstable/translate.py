@@ -31,43 +31,69 @@ def defeat_map(af: ArgumentationFramework) -> AtomMap:
     return AtomMap(forward={x: defeat_atom(x) for x in af.arguments})
 
 
-def _defeat_atoms(af: ArgumentationFramework) -> list[str]:
-    """The defeat atoms in sorted order, atom number i naming the i-th, as
-    in the integer rules of `alpha` and `gamma`.  A name sorts as its defeat
-    atom does: `)` sorts below every character a name can hold."""
-    return [defeat_atom(x) for x in sorted(af.arguments)]
+def _defeat_atoms(names: list[str]) -> list[str]:
+    """The defeat atoms of the sorted argument `names`, atom number i naming
+    the i-th, as in the integer rules of `alpha` and `gamma`.  A name sorts
+    as its defeat atom does: `)` sorts below every character a name can
+    hold."""
+    return [defeat_atom(x) for x in names]
 
 
 def _numbered(af: ArgumentationFramework):
-    """Each argument's number, its place in sorted order from 1, and its
-    attackers as positive literals over those numbers, in sorted order.
-    Numbers sort as the names do, and as their defeat atoms, so rules over
-    them sort into the canonical `Clause` order."""
-    number = {x: i for i, x in enumerate(sorted(af.arguments), 1)}
-    attackers = {
-        x: tuple([(number[c], 0) for c in cs]) for x, cs in af.attacker_index.items()
-    }
-    return number, attackers
+    """The arguments in sorted order, numbered from 1 by their place in it;
+    the attacks as (target, source) number pairs in sorted order; and, by
+    number, each argument's attackers as positive literals in sorted order
+    and as the flat key of those literals.  Numbers sort as the names do,
+    and as their defeat atoms, so rules over them sort into the canonical
+    `Clause` order.
+
+    A rule's flat key lists 2v + neg for each head literal (v, neg), then a
+    0, then the same for each body literal.  Atom numbers start at 1 and
+    every negation depth here is 0 or 1, so each literal's entry is at least
+    2 and keeps the literal's place in the order: flat keys sort as the
+    rules do, and only equal rules share one."""
+    names = sorted(af.arguments)
+    number = dict(zip(names, range(1, len(names) + 1)))
+    attacks = sorted([(number[t], number[s]) for s, t in af.attacks])
+    attackers: list[list[int]] = [[] for _ in range(len(names) + 1)]
+    for a, b in attacks:
+        attackers[a].append(b)
+    literals = [tuple([(c, 0) for c in cs]) for cs in attackers]
+    keys = [tuple([2 * c for c in cs]) for cs in attackers]
+    return names, attacks, literals, keys
 
 
-def _defeat_rules(af: ArgumentationFramework, attack_rule) -> NumberedTheory:
-    """Per attack (b, a), `attack_rule(a, b)` over the atom numbers of d(a)
-    and d(b), and the defender rule `d(a) :- d(c1), ..., d(ck)` where the c
-    are the attackers of b; no attackers means an empty body.  The rules come
-    deduplicated and sorted, which is the canonical `Clause` order."""
-    number, defenders = _numbered(af)
-    rules: set[Rule] = set()
-    for source, target in af.attacks:
-        a = number[target]
-        rules.add(attack_rule(a, number[source]))
-        rules.add((((a, 0),), defenders[source]))
-    return NumberedTheory(_defeat_atoms(af), sorted(rules))
+def _canonical(keyed: dict[tuple[int, ...], Rule]) -> list[Rule]:
+    """The rules of `keyed`, each under its flat key, in canonical order."""
+    return [keyed[k] for k in sorted(keyed)]
+
+
+def _defeat_rules(af: ArgumentationFramework, disjunctive: bool) -> NumberedTheory:
+    """Over the atom numbers of the defeat atoms, per attack (b, a): the
+    attack rule, `d(a) :- not d(b)`, or `d(a) v d(b)` with its head sorted
+    if `disjunctive`; and the defender rule `d(a) :- d(c1), ..., d(ck)`
+    where the c are the attackers of b, an empty body if there are none.
+    One pass over the numbered attacks keys each rule by its flat key, which
+    deduplicates them, and one sort of the keys puts them in canonical
+    order."""
+    names, attacks, literals, keys = _numbered(af)
+    rules = {(2 * a, 0, *keys[b]): (((a, 0),), literals[b]) for a, b in attacks}
+    if not disjunctive:
+        rules.update({(2 * a, 0, 2 * b + 1): (((a, 0),), ((b, 1),)) for a, b in attacks})
+    else:
+        for a, b in attacks:
+            if a == b:
+                rules[2 * a, 0] = (((a, 0),), ())
+            else:
+                low, high = (a, b) if a < b else (b, a)
+                rules[2 * low, 2 * high, 0] = (((low, 0), (high, 0)), ())
+    return NumberedTheory(_defeat_atoms(names), _canonical(rules))
 
 
 def alpha_rules(af: ArgumentationFramework) -> NumberedTheory:
     """`alpha` as integer rules: per attack (b, a), `d(a) :- not d(b)` and
     the defender rule."""
-    return _defeat_rules(af, lambda a, b: (((a, 0),), ((b, 1),)))
+    return _defeat_rules(af, disjunctive=False)
 
 
 def alpha(af: ArgumentationFramework) -> Program:
@@ -82,13 +108,11 @@ def alpha(af: ArgumentationFramework) -> Program:
 def beta_rules(af: ArgumentationFramework) -> NumberedTheory:
     """`beta` as integer rules over the arguments, numbered in sorted order:
     per attack (b, a), `not b :- a` and `c1 v ... v ck :- a`."""
-    number, attackers = _numbered(af)
-    rules: set[Rule] = set()
-    for source, target in af.attacks:
-        body = ((number[target], 0),)
-        rules.add((((number[source], 1),), body))
-        rules.add((attackers[source], body))
-    return NumberedTheory(sorted(af.arguments), sorted(rules))
+    names, attacks, literals, keys = _numbered(af)
+    rules = {(*keys[b], 0, 2 * a): (literals[b], ((a, 0),)) for a, b in attacks}
+    for a, b in attacks:
+        rules[2 * b + 1, 0, 2 * a] = (((b, 1),), ((a, 0),))
+    return NumberedTheory(names, _canonical(rules))
 
 
 def beta(af: ArgumentationFramework) -> Program:
@@ -104,10 +128,7 @@ def beta(af: ArgumentationFramework) -> Program:
 def gamma_rules(af: ArgumentationFramework) -> NumberedTheory:
     """`gamma` as integer rules: per attack (b, a), `d(a) v d(b)`, its head
     sorted, and the defender rule."""
-    def disjunction(a, b):
-        return (((min(a, b), 0), (max(a, b), 0)) if a != b else ((a, 0),)), ()
-
-    return _defeat_rules(af, disjunction)
+    return _defeat_rules(af, disjunctive=True)
 
 
 def gamma(af: ArgumentationFramework) -> Program:
@@ -142,10 +163,10 @@ def lambda_(af: ArgumentationFramework) -> Program:
 
 def stable_fragment_rules(af: ArgumentationFramework) -> NumberedTheory:
     """`stable_fragment` as integer rules: `alpha`'s rule `d(a) :- not d(b)`
-    per attack (b, a), without the defender rules."""
-    number, _ = _numbered(af)
-    rules = {(((number[target], 0),), ((number[source], 1),)) for source, target in af.attacks}
-    return NumberedTheory(_defeat_atoms(af), sorted(rules))
+    per attack (b, a), without the defender rules.  The attacks, distinct
+    and sorted as (a, b) number pairs, give the rules in canonical order."""
+    names, attacks, _, _ = _numbered(af)
+    return NumberedTheory(_defeat_atoms(names), [(((a, 0),), ((b, 1),)) for a, b in attacks])
 
 
 def stable_fragment(af: ArgumentationFramework) -> Program:

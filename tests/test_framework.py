@@ -9,7 +9,8 @@ from argstable import (
     parse_apx,
     parse_tgf,
 )
-from tests.common import EMPTY, CHAIN, SELF_ATTACK
+from tests.common import EMPTY, CHAIN, KNOT, SELF_ATTACK
+from tests.reference_parsers import reference_parse_apx, reference_parse_tgf
 
 
 class TestParseApx:
@@ -106,6 +107,23 @@ class TestConstruction:
     def test_invalid_argument_name(self):
         with pytest.raises(ValueError):
             ArgumentationFramework({"not ok"}, frozenset())
+
+    def test_parsers_skip_the_validating_constructor(self, monkeypatch):
+        # the grammar admits only valid names and the scanners reject an
+        # undeclared endpoint, so a parsed framework is not checked again
+        built = []
+        validating = ArgumentationFramework.__new__
+
+        def counted(cls, *args):
+            built.append(args)
+            return validating(cls, *args)
+
+        monkeypatch.setattr(ArgumentationFramework, "__new__", staticmethod(counted))
+        assert parse_apx(KNOT.to_apx()) == KNOT
+        assert parse_tgf(KNOT.to_tgf()) == KNOT
+        assert built == []
+        ArgumentationFramework(["a"], [])
+        assert len(built) == 1
 
     def test_values_are_frozen(self):
         af = ArgumentationFramework(["a", "a", "b"], [("a", "b")])
@@ -210,3 +228,76 @@ def test_attacker_index_matches_attacks(af):
         expected = {s for s, t in af.attacks if t == x}
         assert af.attackers(x) == expected
         assert af.attacker_index[x] == tuple(sorted(expected))
+
+
+# Text in either format, well formed or not, for the differential property
+# below: names in mixed case, line ends and blanks that `str.splitlines` and
+# `str.split` treat differently, comments without a final newline, and
+# undeclared endpoints, unknown predicates and wrong arities.
+_TEXT_NAMES = ["a", "b", "Ab", "x_1", "Z9"]
+_BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"]
+_BLANKS = [" ", "\t", "\xa0", "\x1f", "  "]
+_NOISE = st.sampled_from(_BREAKS + _BLANKS + [
+    "%", "#", "(", ")", ",", ".", "1", "_", "a", "q", "arg", "att", "arg(", "zz",
+])
+
+
+@st.composite
+def _mutated(draw, text):
+    """`text` with a few characters dropped or pieces inserted."""
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        if pos < len(text) and draw(st.booleans()):
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + draw(_NOISE) + text[pos:]
+    return text
+
+
+@st.composite
+def apx_texts(draw):
+    names = draw(st.lists(st.sampled_from(_TEXT_NAMES), unique=True, max_size=5))
+    pick = st.sampled_from(names + ["zz"])  # zz is never declared
+    facts = [f"arg({x})." for x in names]
+    facts += [f"att({x},{y})." for x, y in draw(st.lists(st.tuples(pick, pick), max_size=5))]
+    facts += draw(st.lists(st.sampled_from(
+        ["node(a).", "arg(a,b).", "att(a).", "arg( Ab ) .", "att( a ,\tb ) ."]), max_size=2))
+    facts = draw(st.permutations(facts))
+    gap = st.sampled_from(_BREAKS + _BLANKS + ["% note\n", "%c\r\n", ""])
+    text = "".join(draw(gap) + fact for fact in facts) + draw(gap)
+    if draw(st.booleans()):
+        text += "% a comment with no final newline"
+    return draw(_mutated(text))
+
+
+@st.composite
+def tgf_texts(draw):
+    names = draw(st.lists(st.sampled_from(_TEXT_NAMES), unique=True, max_size=5))
+    pick = st.sampled_from(names + ["zz"])
+    blank = st.sampled_from(_BLANKS + [""])
+    lines = [draw(blank) + x + draw(blank) for x in names]
+    lines += [draw(blank) + "#"]
+    lines += [f"{x}{draw(st.sampled_from(_BLANKS))}{y}{draw(blank)}"
+              for x, y in draw(st.lists(st.tuples(pick, pick), max_size=5))]
+    lines += draw(st.lists(st.sampled_from(["", "a b c", "1x", "# #", "a"]), max_size=2))
+    text = "".join(line + draw(st.sampled_from(_BREAKS)) for line in lines)
+    return draw(_mutated(text))
+
+
+def _outcome(parse, text):
+    """The framework `parse` returns, or the type, message, line and column
+    of its `ParseError`."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(
+    st.tuples(st.just((parse_apx, reference_parse_apx)), apx_texts()),
+    st.tuples(st.just((parse_tgf, reference_parse_tgf)), tgf_texts()),
+))
+def test_scanners_agree_with_the_reference_parsers(case):
+    (parse, reference), text = case
+    assert _outcome(parse, text) == _outcome(reference, text)
