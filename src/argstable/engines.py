@@ -9,7 +9,6 @@ from .framework import ArgumentationFramework
 from .logic import (
     DEFAULT_MODEL_BOUND,
     Interpretation,
-    NumberedTheory,
     _rule_clauses,
     canonical,
     is_minimal_model_by_consequence,
@@ -20,7 +19,7 @@ from .translate import compl, decode
 # the consequence checker, as the reference, on the `Program` of `alpha`'s.
 # The benchmark's tracer (perfbench) times translation and search at the
 # names `alpha`, `gamma`, `lambda_`, `minimal_models` and `stable_models`.
-from .logic import _stable_models as stable_models
+from .logic import _minimal_models as minimal_models, _stable_models as stable_models
 from .translate import alpha_rules as alpha, gamma_rules as gamma, lambda_rules as lambda_
 
 Extension = frozenset[str]
@@ -61,14 +60,6 @@ def _report(engine: str, pairs) -> SolveReport:
     witnesses = {extension: model for extension, model in pairs}
     extensions = tuple(canonical(witnesses))
     return SolveReport(engine, extensions, witnesses)
-
-
-def minimal_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
-    """The minimal models of a theory given as integer rules, on the solver
-    `theory.solver` builds.  The rules are `_cnf` of `theory.program()`, so
-    the search is the one `logic.minimal_models` makes on that `Program`,
-    which is never built."""
-    return canonical(theory.solver(bound).extremal_models(default=False))
 
 
 def preferred_via_alpha(

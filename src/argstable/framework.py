@@ -9,10 +9,8 @@ parse/serialize round-trips are stable.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from itertools import chain
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError, UnknownArgumentError
 
@@ -49,8 +47,9 @@ class _FrameworkFields(NamedTuple):
 
 
 class ArgumentationFramework(_FrameworkFields):
-    """Immutable framework value; attacks may only reference declared arguments.
-    A `NamedTuple` with a `__dict__`, which caches `attacker_index`."""
+    """Immutable framework value; attacks may only reference declared arguments."""
+
+    __slots__ = ()
 
     def __new__(cls, arguments: Iterable[str], attacks: Iterable[tuple[str, str]]):
         arguments = frozenset(arguments)
@@ -68,18 +67,10 @@ class ArgumentationFramework(_FrameworkFields):
     # `_replace` builds through `_make`, so it too validates
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    @cached_property
-    def attacker_index(self) -> Mapping[str, tuple[str, ...]]:
-        """Each argument's attackers in sorted order, built on first use."""
-        table: dict[str, list[str]] = {x: [] for x in self.arguments}
-        for source, target in sorted(self.attacks):
-            table[target].append(source)
-        return MappingProxyType({x: tuple(s) for x, s in table.items()})
-
     def attackers(self, argument: str) -> frozenset[str]:
         """Every argument with an attack onto `argument`."""
         self._known(argument)
-        return frozenset(self.attacker_index[argument])
+        return frozenset(source for source, target in self.attacks if target == argument)
 
     def is_conflict_free(self, members: Iterable[str]) -> bool:
         s = self._subset(members)
@@ -95,8 +86,14 @@ class ArgumentationFramework(_FrameworkFields):
         )
 
     def is_admissible(self, members: Iterable[str]) -> bool:
+        """Conflict-free, and every attacker of a member is attacked by one:
+        the conflict test stops at the first conflict, then one pass over the
+        attacks finds what the set attacks."""
         s = self._subset(members)
-        return self.is_conflict_free(s) and all(self.is_acceptable(m, s) for m in s)
+        if not self.is_conflict_free(s):
+            return False
+        attacked = {target for source, target in self.attacks if source in s}
+        return all(source in attacked for source, target in self.attacks if target in s)
 
     def to_apx(self) -> str:
         lines = [f"arg({a})." for a in sorted(self.arguments)]

@@ -561,7 +561,12 @@ class _CnfSolver:
 
 def minimal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
     """Subset-minimal models over the signature."""
-    return canonical(_cnf(program).solver(bound).extremal_models(default=False))
+    return _minimal_models(_cnf(program), bound)
+
+
+def _minimal_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
+    """The minimal models of a theory given as integer rules, in canonical order."""
+    return canonical(theory.solver(bound).extremal_models(default=False))
 
 
 def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
@@ -647,7 +652,7 @@ def _stable_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
     those within M (Castell et al. 1996, as in `_CnfSolver.extremal_models`).
     M models P^M, as each clause P^M keeps had its `not b` true under M, so M
     is stable exactly when that model, its copies aside, is M."""
-    candidates = canonical(theory.solver(bound).extremal_models(default=False))
+    candidates = _minimal_models(theory, bound)
     negated = sorted({v for _, body in theory.clauses for v, neg in body if neg})
     if not negated:
         return candidates
@@ -692,6 +697,8 @@ class AtomMap(_AtomMapFields):
     """A bijection between source and target atoms, with an optional dense
     1-based variable numbering used by the DIMACS export."""
 
+    __slots__ = ()
+
     def __new__(cls, forward: Mapping[str, str] = {}, var_index: Mapping[str, int] = {}):
         self = tuple.__new__(cls, (dict(forward), dict(var_index)))
         if len(set(self.forward.values())) != len(self.forward):
@@ -700,7 +707,6 @@ class AtomMap(_AtomMapFields):
             indices = sorted(self.var_index.values())
             if indices != list(range(1, len(indices) + 1)):
                 raise ValueError("variable indices must be dense from 1")
-        self._inverse = {v: k for k, v in self.forward.items()}
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -709,7 +715,7 @@ class AtomMap(_AtomMapFields):
         return self.forward[atom]
 
     def invert(self, atom: str) -> str:
-        return self._inverse[atom]
+        return {v: k for k, v in self.forward.items()}[atom]
 
     def index_of(self, atom: str) -> int:
         return self.var_index[atom]

@@ -1,3 +1,4 @@
+import collections
 import io
 import itertools
 import random
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 
 from argstable import (
     ArgumentationFramework,
+    AtomMap,
     BoundExceededError,
     Clause,
     Literal,
@@ -24,6 +26,8 @@ from argstable import (
     is_unsatisfiable,
     lambda_,
     models,
+    parse_apx,
+    parse_tgf,
     preferred_oracle,
     preferred_via_alpha,
     preferred_via_gamma,
@@ -33,7 +37,7 @@ from argstable import (
     stable_fragment,
     stable_models,
 )
-from argstable import cli
+from argstable import cli, engines
 from argstable.logic import _CnfSolver, _cnf, _rule_clauses, canonical
 from argstable.translate import alpha, defeat_atom, gamma
 from tests.common import (
@@ -504,3 +508,48 @@ def test_engines_build_no_clause(monkeypatch, capsys):
             assert cli.main(["translate", target, "--emit", emit]) == 0
             assert capsys.readouterr().out
     assert built == []
+
+
+# perfbench's tracer times translation, search and decode by wrapping these
+# names in `engines`; an engine that reaches one by another route would run
+# untimed, and only the benchmark's self-tests would notice.
+_TRACED = ("alpha", "gamma", "lambda_", "minimal_models", "stable_models", "decode")
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("run, reached", [
+    (lambda: preferred_via_alpha(KNOT), {"alpha", "minimal_models", "decode"}),
+    (lambda: preferred_via_gamma(KNOT), {"gamma", "minimal_models", "decode"}),
+    (lambda: preferred_via_lambda(KNOT), {"lambda_", "stable_models"}),
+    (lambda: query(KNOT, "a", "brave"), {"gamma", "minimal_models", "decode"}),
+    (lambda: check_preferred_unsat(KNOT, {"a"}), {"alpha"}),
+    (lambda: check_preferred_consequence(KNOT, {"a"}), {"alpha"}),
+], ids=["alpha", "gamma", "lambda", "query", "check_unsat", "check_consequence"])
+def test_engines_reach_the_traced_names(monkeypatch, run, reached):
+    calls = collections.Counter()
+    for name in _TRACED:
+        monkeypatch.setattr(engines, name, _counted(calls, name, getattr(engines, name)))
+    run()
+    assert set(calls) == reached
+
+
+@pytest.mark.parametrize("value", [
+    ArgumentationFramework(["a", "b"], [("a", "b")]),
+    parse_apx(KNOT.to_apx()),
+    parse_tgf(KNOT.to_tgf()),
+    AtomMap({"a": "d(a)"}, {"d(a)": 1}),
+    Literal("a", 1),
+    Clause(head=("a",), body=("b",)),
+    Program.of([Clause(head=("a",))]),
+    preferred_via_alpha(KNOT),
+], ids=["framework", "apx", "tgf", "atom_map", "literal", "clause", "program", "report"])
+def test_value_types_hold_only_their_fields(value):
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        value.extra = None

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from argstable import (
@@ -9,7 +9,7 @@ from argstable import (
     parse_apx,
     parse_tgf,
 )
-from tests.common import EMPTY, CHAIN, KNOT, SELF_ATTACK
+from tests.common import EMPTY, CHAIN, KNOT, SELF_ATTACK, subsets_of
 from tests.reference_parsers import reference_parse_apx, reference_parse_tgf
 
 
@@ -223,11 +223,30 @@ def test_unattacked_arguments_acceptable_wrt_empty_set(af):
 
 @settings(deadline=None, max_examples=80)
 @given(frameworks())
-def test_attacker_index_matches_attacks(af):
+def test_attackers_match_attacks(af):
     for x in af.arguments:
         expected = {s for s, t in af.attacks if t == x}
         assert af.attackers(x) == expected
-        assert af.attacker_index[x] == tuple(sorted(expected))
+
+
+def _admissible_by_definition(af, s):
+    """No member attacks a member, and every attacker of a member is
+    attacked by some member, read straight off the attack pairs."""
+    conflict_free = not any(x in s and y in s for x, y in af.attacks)
+    defended = all(
+        any((d, x) in af.attacks for d in s) for x, y in af.attacks if y in s
+    )
+    return conflict_free and defended
+
+
+@settings(deadline=None, max_examples=80)
+@given(frameworks())
+@example(EMPTY)
+@example(SELF_ATTACK)
+@example(KNOT)
+def test_admissible_matches_definition(af):
+    for s in subsets_of(af.arguments):
+        assert af.is_admissible(s) == _admissible_by_definition(af, s), sorted(s)
 
 
 # Text in either format, well formed or not, for the differential property

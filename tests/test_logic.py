@@ -676,6 +676,11 @@ class TestAtomMap:
         assert amap.invert("d(a)") == "a"
         assert amap.index_of("d(a)") == 1
 
+    def test_invert_outside_the_image(self):
+        amap = AtomMap({"a": "d(a)"})
+        with pytest.raises(KeyError):
+            amap.invert("a")
+
     def test_forward_must_be_injective(self):
         with pytest.raises(ValueError):
             AtomMap({"a": "x", "b": "x"}, {"x": 1})
