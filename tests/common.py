@@ -2,12 +2,16 @@
 and the brute-force reference computations the fast paths are tested against."""
 
 import inspect
+import os
 import random
 import string
+import subprocess
 import sys
 from contextlib import contextmanager
 from itertools import combinations
+from pathlib import Path
 
+import argstable
 from argstable import ArgumentationFramework, Clause, Literal, Program, gl_reduct, models
 from argstable.logic import _CnfSolver
 
@@ -74,6 +78,18 @@ FOUR_RULE_REDUCT = frozenset({
     Clause(head=("b",)),
     Clause(head=("c",), body=("a",)),
 })
+
+
+def run_argstable(argv, *flags, spawn=subprocess.run, **kwargs):
+    """`python FLAGS -m argstable ARGV` through `spawn` (`subprocess.run` or
+    `subprocess.Popen`, which take `kwargs`), in an environment that imports
+    the package these tests import and leaves standard output buffered
+    unless FLAGS hold `-u`."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(argstable.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return spawn([sys.executable, *flags, "-m", "argstable", *argv], env=env, **kwargs)
 
 
 def random_framework(rng, max_args=7, density=(0.1, 0.9)):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import argstable
 from argstable import SolveReport, cli
 from argstable.cli import main
-from tests.common import odd_cycles, recursion_headroom
+from tests.common import odd_cycles, recursion_headroom, run_argstable
 
 CHAIN_APX = "arg(a).\narg(b).\narg(c).\natt(a,b).\natt(b,c).\n"
 KNOT_APX = (
@@ -22,6 +22,7 @@ KNOT_APX = (
     "att(a,b).\natt(b,a).\natt(b,c).\natt(c,d).\natt(d,e).\natt(e,c).\n"
 )
 CHAIN_TGF = "a\nb\nc\n#\na b\nb c\n"
+KNOT_TGF = "a\nb\nc\nd\ne\n#\na b\nb a\nb c\nc d\nd e\ne c\n"
 
 
 @pytest.fixture
@@ -61,6 +62,12 @@ class TestSolve:
         assert out == (
             '{"engine": "alpha", "extension": ["a", "c"], "witness": ["d(b)"]}\n'
         )
+        # lambda_'s first stable model lists the extension {a} next to the
+        # defeated arguments
+        code, out, _ = run(["solve", "--engine", "lambda", "--json"], text=KNOT_APX)
+        assert code == 0
+        first = json.loads(out.splitlines()[0])
+        assert first["witness"] == ["a", "d(b)", "d(c)", "d(d)", "d(e)"]
 
     def test_json_oracle_has_no_witness(self, run):
         code, out, _ = run(["solve", "--engine", "oracle", "--json"], text=CHAIN_APX)
@@ -347,17 +354,11 @@ class TestClosedOutput:
     )
 
     @staticmethod
-    def command(tmp_path, argv, text, *flags):
-        """`python FLAGS -m argstable ARGV --input FILE` on `text`, and an
-        environment that imports this checkout's package and leaves standard
-        output buffered unless FLAGS hold `-u`."""
+    def on_file(tmp_path, argv, text):
+        """ARGV with `--input FILE`, where FILE holds `text`."""
         path = tmp_path / "input.apx"
         path.write_text(text)
-        env = dict(os.environ)
-        env.pop("PYTHONUNBUFFERED", None)
-        src = str(Path(argstable.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return [sys.executable, *flags, "-m", "argstable", *argv, "--input", str(path)], env
+        return [*argv, "--input", str(path)]
 
     @staticmethod
     def assert_one_error_line(code, stderr):
@@ -372,12 +373,12 @@ class TestClosedOutput:
         (["solve"], KNOT_APX),
     ], ids=["translate-gamma", "solve"])
     def test_closed_pipe_exits_1_without_traceback(self, tmp_path, argv, text):
-        cmd, env = self.command(tmp_path, argv, text)
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = subprocess.run(
-                cmd, stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            proc = run_argstable(
+                self.on_file(tmp_path, argv, text),
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
             )
         finally:
             os.close(write)
@@ -389,9 +390,9 @@ class TestClosedOutput:
         # still writing when the reader leaves after one line; unbuffered
         # (`-u`), a raw write that takes only part of the text must not pass
         # for success
-        cmd, env = self.command(tmp_path, ["translate", "alpha"], self.RING_APX, *flags)
-        proc = subprocess.Popen(
-            cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        proc = run_argstable(
+            self.on_file(tmp_path, ["translate", "alpha"], self.RING_APX), *flags,
+            spawn=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
             assert proc.stdout.readline().startswith("d(a0) :- ")
@@ -402,6 +403,19 @@ class TestClosedOutput:
             proc.kill()
             proc.stderr.close()
         self.assert_one_error_line(code, stderr)
+
+
+@pytest.mark.parametrize("argv, stdin, code, out, err", [
+    (["solve", "--format", "tgf"], KNOT_TGF, 0, "{a}\n{b,d}\n", ""),
+    # the scanner stops at the second line's third column
+    (["solve"], "arg(a).\n  bogus\n", 1, "", "argstable: error: 2:3: expected a fact "),
+], ids=["tgf", "malformed-apx"])
+def test_process_on_input_the_recording_cannot_hold(argv, stdin, code, out, err):
+    proc = run_argstable(argv, input=stdin, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert proc.stderr.startswith(err)
+    assert proc.stderr.count("\n") == (1 if err else 0)
+    assert "Traceback" not in proc.stderr
 
 
 # Generated input, well-formed or not, through every subcommand: each run

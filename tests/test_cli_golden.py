@@ -3,26 +3,32 @@ invocations, recorded in `tests/data/cli_golden.json`, must not change.
 
 The recording holds its own inputs (APX text), so changes to the generators
 in `tests/common.py` do not move it.  Translations are stored as SHA-256
-digests of their output, which keeps the file small.  To record again, on a
-commit whose output is known to be right:
+digests of their output, which keeps the file small.
+
+All 198 invocations are checked in-process through `cli.main`.  The README
+knot's 22, which use every subcommand and flag of the recording, are also
+replayed through a real process, `python -m argstable`, so the exit code
+and the bytes that reach the pipes are checked through `entry_point` too.
+The installed console script is checked by one CI step on the knot.
+
+To record again, on a commit whose output is known to be right (each
+invocation runs in its own process, about 20 s in all):
 
     PYTHONPATH=src python -m tests.test_cli_golden
 """
 
-import contextlib
 import hashlib
 import io
 import json
 import random
 import string
-import sys
 from pathlib import Path
 
 import pytest
 
 from argstable import ArgumentationFramework, parse_apx, preferred_oracle
 from argstable.cli import main
-from tests.common import KNOT
+from tests.common import KNOT, run_argstable
 
 DATA = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -62,26 +68,17 @@ def _invocations(af):
     return calls
 
 
-def _record(cases):
-    """Run each case in-process and return what it printed."""
-    results = []
-    for case in cases:
-        stdin, stdout, stderr = io.StringIO(case["input"]), io.StringIO(), io.StringIO()
-        saved = sys.stdin
-        sys.stdin = stdin
-        try:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(case["argv"])
-        finally:
-            sys.stdin = saved
-        out = stdout.getvalue()
-        entry = {"name": case["name"], "argv": case["argv"], "code": code, "stderr": stderr.getvalue()}
-        if case["argv"][0] == "translate":
-            entry["stdout_sha256"] = _digest(out)
-        else:
-            entry["stdout"] = out
-        results.append(entry)
-    return results
+def _run(name, argv, text):
+    """Run `argv` on `text` through `python -m argstable` and return the
+    recording's entry for what it printed."""
+    proc = run_argstable(argv, input=text.encode("utf-8"), capture_output=True, timeout=120)
+    out = proc.stdout.decode("utf-8")
+    entry = {"name": name, "argv": argv, "code": proc.returncode, "stderr": proc.stderr.decode("utf-8")}
+    if argv[0] == "translate":
+        entry["stdout_sha256"] = _digest(out)
+    else:
+        entry["stdout"] = out
+    return entry
 
 
 # absent only while the recording is first made
@@ -105,6 +102,13 @@ def test_cli_output_is_unchanged(case, capsys, monkeypatch):
         assert captured.out == case["stdout"]
 
 
+@pytest.mark.parametrize(
+    "case", [c for c in GOLDEN["cases"] if c["name"] == "knot"], ids=lambda c: " ".join(c["argv"])
+)
+def test_knot_replays_through_a_process(case):
+    assert _run(case["name"], case["argv"], GOLDEN["frameworks"]["knot"]) == case
+
+
 def test_recording_covers_the_documented_invocations():
     assert len(GOLDEN["frameworks"]) >= 9
     sizes = {len(parse_apx(text).arguments) for text in GOLDEN["frameworks"].values()}
@@ -115,12 +119,12 @@ def test_recording_covers_the_documented_invocations():
 if __name__ == "__main__":
     frameworks = {name: af.to_apx() for name, af in _frameworks().items()}
     cases = [
-        {"name": name, "input": frameworks[name], "argv": argv}
+        _run(name, argv, frameworks[name])
         for name, af in _frameworks().items()
         for argv in _invocations(af)
     ]
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(
-        json.dumps({"frameworks": frameworks, "cases": _record(cases)}, indent=1) + "\n",
+        json.dumps({"frameworks": frameworks, "cases": cases}, indent=1) + "\n",
         encoding="utf-8",
     )
