@@ -15,6 +15,7 @@ its clauses.  Exhaustive operations refuse signatures beyond `bound`.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BoundExceededError
@@ -565,8 +566,49 @@ def minimal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[I
 
 
 def _minimal_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
-    """The minimal models of a theory given as integer rules, in canonical order."""
-    return canonical(theory.solver(bound).extremal_models(default=False))
+    """The minimal models of a theory given as integer rules, in canonical order.
+
+    They are the unions of one minimal model per part (`_parts`), with every
+    atom in no rule false.  One search keeps every block clause, so a large
+    product is cheaper part by part, but finding the parts pays only there:
+    the parts get solvers once the whole search finds more models than atoms."""
+    search = theory.solver(bound).extremal_models(default=False)
+    found = list(islice(search, len(theory.atoms) + 1))
+    if len(found) <= len(theory.atoms):
+        return canonical(found)
+    parts = _parts(theory)
+    if len(parts) == 1:
+        return canonical(found + list(search))
+    product = [frozenset()]
+    for part in parts:
+        own = list(part.solver(bound).extremal_models(default=False))
+        product = [m | p for m in product for p in own]
+    return canonical(product)
+
+
+def _parts(theory: NumberedTheory) -> list[NumberedTheory]:
+    """The rules grouped by shared atoms, by union-find over the atom numbers,
+    each group renumbered over its own atoms in increasing order."""
+    parent = list(range(len(theory.atoms) + 1))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
+    for head, body in theory.clauses:
+        for v, _ in head + body:
+            parent[root(v)] = root((head + body)[0][0])
+    groups: dict[int, list[Rule]] = {}
+    for rule in theory.clauses:
+        groups.setdefault(root((rule[0] + rule[1])[0][0]), []).append(rule)
+    parts = []
+    for rules in groups.values():
+        number = {v: i for i, v in enumerate(sorted({v for h, b in rules for v, _ in h + b}), 1)}
+        renumber = lambda side: tuple([(number[v], neg) for v, neg in side])
+        parts.append(NumberedTheory([theory.atoms[v - 1] for v in number],
+                                    [(renumber(h), renumber(b)) for h, b in rules]))
+    return parts
 
 
 def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:

@@ -119,6 +119,15 @@ def mutual_attacks(k):
     return ArgumentationFramework(frozenset(names), frozenset(attacks))
 
 
+def sink(k):
+    """`mutual_attacks(k)` plus an argument z that every a<i> attacks: one
+    connected framework with 2^k preferred extensions, z in the one of all
+    b<i>."""
+    pairs = mutual_attacks(k)
+    attacks = pairs.attacks | {(f"a{i}", "z") for i in range(k)}
+    return ArgumentationFramework(pairs.arguments | {"z"}, attacks)
+
+
 def attack_chain(n):
     """a0000 -> a0001 -> ... -> a<n-1>, numbered so that sorted names follow
     the chain; its one preferred extension is every other argument from the

@@ -55,6 +55,7 @@ from tests.common import (
     random_attacks,
     random_framework,
     recursion_headroom,
+    sink,
     subsets_of,
 )
 
@@ -384,6 +385,33 @@ def test_lambda_checks_every_candidate_on_one_solver(monkeypatch):
     assert found == expected
 
 
+# The scaling gate of the part-by-part enumeration, with no wall clock: the
+# searches count the work.  `gamma(mutual_attacks(k))` has 2^k minimal models
+# over 2k atoms in k parts of two: the whole search stops at 2k + 1 models,
+# and each part then takes at most three searches, where one search per
+# extension would take 2^k.  `sink(k)` is connected, so its one solver still
+# takes one search per extension.
+def test_disjoint_parts_are_enumerated_part_by_part(monkeypatch):
+    built = count_solver_builds(monkeypatch)
+    searches = count_searches(monkeypatch)
+
+    def choices(k):
+        """Each way to take a<i> or b<i> from every pair i below k."""
+        return [frozenset(f"{'ab'[c >> i & 1]}{i}" for i in range(k)) for c in range(2 ** k)]
+
+    for k in range(8, 13):
+        del searches[:]
+        assert list(preferred_via_gamma(mutual_attacks(k)).extensions) == canonical(choices(k))
+        assert len(searches) <= (2 * k + 1) + 3 * k
+    for k in range(8, 11):
+        del built[:], searches[:]
+        all_b = frozenset(f"b{i}" for i in range(k))
+        expected = canonical(e | {"z"} if e == all_b else e for e in choices(k))
+        assert list(preferred_via_gamma(sink(k)).extensions) == expected
+        assert len(built) == 1
+        assert len(searches) == 2 ** k
+
+
 def test_long_chain_has_its_one_extension():
     af = attack_chain(1200)
     report = preferred_via_alpha(af, bound=10_000)
@@ -394,7 +422,8 @@ def test_long_chain_has_its_one_extension():
 # clauses, with no `Clause` or `Program` on the way.  What they hand the
 # (candidate) solver must be the clauses of `_cnf(alpha(af))`,
 # `_cnf(gamma(af))` and `_cnf(lambda_(af))` exactly, order included, so that
-# every search, and so every witness, is the one the `Program` would give.
+# the searches find the same set of models, and so every witness, that the
+# `Program` would give.
 _NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
 
 
@@ -451,6 +480,7 @@ def _solver_inputs(engine, af):
     frozenset({"D", "c", "d", "dA", "e"}),
     frozenset({("D", "dA"), ("dA", "d"), ("d", "c"), ("c", "e"), ("e", "e"), ("c", "D")}),
 ))
+@example(mutual_attacks(3))
 @given(defeat_frameworks())
 def test_engines_hand_the_solver_the_cnf_image(af):
     by_clause = {
@@ -466,10 +496,21 @@ def test_engines_hand_the_solver_the_cnf_image(af):
         program = build(af)
         assert program == by_clause[build]
         theory = _cnf(program)
-        built = _solver_inputs(engine, af)
-        assert built[0] == (theory.atoms, _rule_clauses(theory.clauses))
-        # `lambda_` has `not`, so its engine checks the candidates on one more
-        assert len(built) == 1 + (build is lambda_ and bool(af.arguments))
+        image = _rule_clauses(theory.clauses)
+        (atoms, cnf), *others = _solver_inputs(engine, af)
+        assert (atoms, cnf) == (theory.atoms, image)
+        # past more minimal models than atoms, one solver per part: mapped
+        # back through their atoms, the parts' clauses split the image's
+        index = {a: v for v, a in enumerate(theory.atoms, 1)}
+        parts = [(a, c) for a, c in others if all(isinstance(x, str) for x in a)]
+        mapped = [[index[a[abs(lit) - 1]] * (1 if lit > 0 else -1) for lit in clause]
+                  for a, c in parts for clause in c]
+        assert sorted(mapped) == (sorted(image) if parts else [])
+        part_atoms = [x for a, _ in parts for x in a]
+        assert len(part_atoms) == len(set(part_atoms))
+        # `lambda_` has `not`, so its engine checks the candidates on one more,
+        # whose copy atoms are numbers
+        assert len(others) - len(parts) == (build is lambda_ and bool(af.arguments))
 
 
 def test_engines_build_no_clause(monkeypatch, capsys):

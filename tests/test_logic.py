@@ -370,28 +370,100 @@ def test_stable_models_match_brute_force(p):
 def test_each_extremal_model_takes_one_search(monkeypatch):
     """Decisions on the default side make the first model found extremal
     (Castell et al. 1996), so m minimal or maximal models take at most m + 1
-    searches, the last one finding nothing: nothing re-solves a model to
-    shrink or grow it.  `stable_models` builds one solver for its candidates
-    and, for a program with `not`, one more that checks every candidate in
-    at most one search."""
+    searches on one solver, the last one finding nothing: nothing re-solves
+    a model to shrink or grow it.  Past n minimal models over n atoms, the
+    whole solver stops at n + 1 searches and each part of the program gets a
+    solver of its own, whose searches are at most one more than the minimal
+    models' distinct projections onto its atoms.  For a program with `not`,
+    `stable_models` builds one more solver, over copy atoms named by
+    numbers, that checks every candidate in at most one search."""
     built = count_solver_builds(monkeypatch)
     searches = count_searches(monkeypatch)
     rng = random.Random(31)
     programs = [FOUR_RULE_PROGRAM, alpha(SELF_ATTACK), alpha(mutual_attacks(4)), gamma(CHAIN), beta(CHAIN)]
     programs += [random_program(rng, max_atoms=8, max_clauses=8) for _ in range(100)]
     for p in programs:
-        for enumerate_models in (maximal_models, minimal_models):
-            del searches[:]
-            candidates = enumerate_models(p)
-            assert len(searches) <= len(candidates) + 1
-        if p.is_general():
-            # `candidates` holds the minimal models, which `stable_models` checks
+        del searches[:]
+        found = maximal_models(p)
+        assert len(searches) <= len(found) + 1
+        candidates = minimal_models(p)
+        n = len(p.signature)
+        for enumerate_models in (minimal_models, stable_models):
+            if enumerate_models is stable_models and not p.is_general():
+                continue
             del built[:], searches[:]
-            stable_models(p)
-            assert len(built) <= (1 if p.is_positive() else 2)
+            enumerate_models(p)
             per_solver = Counter(map(id, searches))
-            assert per_solver[id(built[0])] <= len(candidates) + 1
-            assert all(per_solver[id(solver)] <= len(candidates) for solver in built[1:])
+            whole, *parts = [s for s in built if all(isinstance(a, str) for a in s.atoms)]
+            assert whole is built[0]
+            assert per_solver[id(whole)] <= (n if parts else len(candidates)) + 1
+            if parts:
+                assert len(candidates) > n
+                part_atoms = sorted(a for part in parts for a in part.atoms)
+                assert part_atoms == sorted(p.occurring_atoms())
+            for part in parts:
+                projections = {m & frozenset(part.atoms) for m in candidates}
+                assert per_solver[id(part)] <= len(projections) + 1
+            copies = [s for s in built[1:] if not all(isinstance(a, str) for a in s.atoms)]
+            assert len(copies) == (enumerate_models is stable_models and not p.is_positive())
+            assert all(per_solver[id(solver)] <= len(candidates) for solver in copies)
+
+
+def _disjoint_union(programs, unused=0):
+    """The programs with their atoms renamed apart (`p0` of the second is
+    `p0_1`), over one signature that also declares `unused` atoms in no
+    clause."""
+    rename = lambda literals, k: tuple(Literal(f"{l.atom}_{k}", l.neg) for l in literals)
+    clauses = [Clause(rename(c.head, k), rename(c.body, k))
+               for k, p in enumerate(programs) for c in p.clauses]
+    signature = {f"{a}_{k}" for k, p in enumerate(programs) for a in p.signature}
+    return Program.of(clauses, signature | {f"unused{i}" for i in range(unused)})
+
+
+_EITHER = Program.of([clause(["a", "b"])])
+_ONE_OF_THREE = Program.of([clause(["a", "b", "c"])])
+_CHOICE = Program.of([clause(["a"], [Literal("b", 1)]), clause(["b"], [Literal("a", 1)])])
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Disjoint unions of up to three parts, each a `random_program` of at
+    most two atoms or a part with two minimal models, so that three parts of
+    two minimal models each pass the atom count unless two atoms are
+    unused."""
+    random_part = st.integers(0, 2 ** 32).map(
+        lambda seed: random_program(random.Random(seed), max_atoms=2, max_clauses=3))
+    parts = st.one_of(random_part, st.sampled_from([_EITHER, _CHOICE]))
+    return _disjoint_union(draw(st.lists(parts, min_size=1, max_size=3)), draw(st.integers(0, 2)))
+
+
+# 4 minimal models over 4 atoms and over 5: one whole search, no parts
+_UNSPLIT = [_disjoint_union([_EITHER, _EITHER]), _disjoint_union([_EITHER, _EITHER], 1)]
+# 6 models over 5 atoms, 8 over 6 and 8 over 7: enumerated part by part
+_SPLIT = [
+    _disjoint_union([_EITHER, _ONE_OF_THREE]),
+    _disjoint_union([_EITHER] * 3),
+    _disjoint_union([_CHOICE] * 3, 1),
+]
+
+
+@settings(deadline=None, max_examples=100)
+@example(_UNSPLIT[0])
+@example(_UNSPLIT[1])
+@example(_SPLIT[0])
+@example(_SPLIT[1])
+@example(_SPLIT[2])
+@given(disjoint_unions())
+def test_disjoint_unions_match_brute_force(p):
+    assert minimal_models(p) == brute_minimal(models(p))
+    assert stable_models(p) == brute_stable(p)
+
+
+@pytest.mark.parametrize("p, parts", [(p, 0) for p in _UNSPLIT] + list(zip(_SPLIT, (2, 3, 3))))
+def test_minimal_models_split_only_past_the_atom_count(monkeypatch, p, parts):
+    built = count_solver_builds(monkeypatch)
+    minimal_models(p)
+    assert len(built) == 1 + parts
 
 
 class TestGTransform:
