@@ -119,6 +119,14 @@ def mutual_attacks(k):
     return ArgumentationFramework(frozenset(names), frozenset(attacks))
 
 
+def knot_copies(k):
+    """k renamed copies of the README knot, a<i> .. e<i> for i below k: 5k
+    arguments in k disjoint parts, 2^k preferred extensions."""
+    names = [f"{x}{i}" for i in range(k) for x in sorted(KNOT.arguments)]
+    attacks = [(f"{s}{i}", f"{t}{i}") for i in range(k) for s, t in KNOT.attacks]
+    return ArgumentationFramework(frozenset(names), frozenset(attacks))
+
+
 def sink(k):
     """`mutual_attacks(k)` plus an argument z that every a<i> attacks: one
     connected framework with 2^k preferred extensions, z in the one of all

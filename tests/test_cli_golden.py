@@ -5,7 +5,7 @@ The recording holds its own inputs (APX text), so changes to the generators
 in `tests/common.py` do not move it.  Translations are stored as SHA-256
 digests of their output, which keeps the file small.
 
-All 198 invocations are checked in-process through `cli.main`.  The README
+All 242 invocations are checked in-process through `cli.main`.  The README
 knot's 22, which use every subcommand and flag of the recording, are also
 replayed through a real process, `python -m argstable`, so the exit code
 and the bytes that reach the pipes are checked through `entry_point` too.
@@ -28,7 +28,7 @@ import pytest
 
 from argstable import ArgumentationFramework, parse_apx, preferred_oracle
 from argstable.cli import main
-from tests.common import KNOT, run_argstable
+from tests.common import KNOT, knot_copies, mutual_attacks, run_argstable
 
 DATA = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -38,7 +38,9 @@ def _digest(text):
 
 
 def _frameworks():
-    """The README knot plus eight seeded random frameworks of 2-12 arguments."""
+    """The README knot, eight seeded random frameworks of 2-12 arguments, and
+    two disjoint unions with more preferred extensions than arguments:
+    four mutual attacks and three copies of the knot."""
     found = {"knot": KNOT}
     for seed, n in enumerate([2, 3, 4, 5, 6, 8, 10, 12]):
         rng = random.Random(seed)
@@ -46,6 +48,8 @@ def _frameworks():
         p = rng.uniform(0.1, 0.5)
         attacks = {(x, y) for x in names for y in names if rng.random() < p}
         found[f"random-{seed}-n{n}"] = ArgumentationFramework(frozenset(names), attacks)
+    found["mutual-4"] = mutual_attacks(4)
+    found["knots-3"] = knot_copies(3)
     return found
 
 
