@@ -9,11 +9,12 @@ from .framework import ArgumentationFramework
 from .logic import (
     DEFAULT_MODEL_BOUND,
     Interpretation,
+    NumberedTheory,
     _rule_clauses,
     canonical,
     is_minimal_model_by_consequence,
 )
-from .translate import compl, decode
+from .translate import compl
 
 # The engines and the UNSAT checker work on the theories as integer rules;
 # the consequence checker, as the reference, on the `Program` of `alpha`'s.
@@ -62,12 +63,23 @@ def _report(engine: str, pairs) -> SolveReport:
     return SolveReport(engine, extensions, witnesses)
 
 
+def _defeat_report(
+    engine: str, af: ArgumentationFramework, theory: NumberedTheory, bound: int
+) -> SolveReport:
+    """The extensions of the minimal models of a defeat theory, each the
+    arguments whose defeat atom the model leaves out: atom number i is d(x)
+    for the i-th argument x in sorted order, so one mapping decodes them
+    all."""
+    argument = dict(zip(theory.atoms, sorted(af.arguments))).__getitem__
+    found = minimal_models(theory, bound)
+    return _report(engine, ((af.arguments.difference(map(argument, m)), m) for m in found))
+
+
 def preferred_via_alpha(
     af: ArgumentationFramework, bound: int = DEFAULT_MODEL_BOUND
 ) -> SolveReport:
     """Preferred extensions read off the minimal models of the defeat theory."""
-    found = minimal_models(alpha(af), bound)
-    return _report("alpha", ((decode(af, m), m) for m in found))
+    return _defeat_report("alpha", af, alpha(af), bound)
 
 
 def preferred_via_gamma(
@@ -75,8 +87,7 @@ def preferred_via_gamma(
 ) -> SolveReport:
     """Preferred extensions read off the stable models of the disjunctive
     program.  It is positive, so they are its minimal models."""
-    found = minimal_models(gamma(af), bound)
-    return _report("gamma", ((decode(af, m), m) for m in found))
+    return _defeat_report("gamma", af, gamma(af), bound)
 
 
 def preferred_via_lambda(
@@ -100,13 +111,14 @@ def check_preferred_unsat(
     failure it is the counter-model, a minimal model of the certificate."""
     complement = compl(af, members)
     theory = alpha(af)
+    cnf = _rule_clauses(theory.clauses)
     # the complement image as integer literals: a member's defeat atom false
     image = {v if a in complement else -v for v, a in enumerate(theory.atoms, 1)}
-    if any(image.isdisjoint(c) for c in _rule_clauses(theory.clauses)):
+    if any(image.isdisjoint(c) for c in cnf):
         return PreferredCheck(False, None, "not-a-model")
     # an empty conjunction negates to falsum: unsatisfiable with no solve or bound
     denials = [-v for v, a in enumerate(theory.atoms, 1) if a not in complement]
-    found = complement and theory.solver(bound).solve(denials)
+    found = complement and theory.solver(bound, cnf).solve(denials)
     if found == complement:
         return PreferredCheck(True, None, None)
     return PreferredCheck(False, found, "satisfiable")

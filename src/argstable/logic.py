@@ -301,11 +301,12 @@ class NumberedTheory(NamedTuple):
         lines += [" ".join(map(str, c)) + " 0\n" for c in cnf]
         return "".join(lines)
 
-    def solver(self, bound: int) -> _CnfSolver:
-        """The one solver entry: the bound policy on the atoms, then a solver
-        over the integer clause of each rule."""
+    def solver(self, bound: int, cnf: list[list[int]] | None = None) -> _CnfSolver:
+        """The one solver entry for a theory: the bound policy on the atoms,
+        then a solver over `cnf`, the integer clause of each rule, which a
+        caller that has built it already passes in."""
         check_bound(len(self.atoms), bound, "program signature")
-        return _CnfSolver(self.atoms, _rule_clauses(self.clauses))
+        return _CnfSolver(self.atoms, _rule_clauses(self.clauses) if cnf is None else cnf)
 
 
 def _cnf(program: Program) -> NumberedTheory:
@@ -319,7 +320,8 @@ def _cnf(program: Program) -> NumberedTheory:
 
 class _CnfSolver:
     """The one solver, over integer clauses on the numbered `atoms`, built by
-    `NumberedTheory.solver` from a theory's rules.
+    `NumberedTheory.solver` from a theory's rules and by `_minimal_models`
+    for each part of one.
     Conflict-driven clause learning after MiniSat (Eén & Sörensson, "An
     Extensible SAT-solver", SAT 2003), with two watched literals per clause
     (Moskewicz et al., "Chaff", DAC 2001).
@@ -569,46 +571,69 @@ def _minimal_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
     """The minimal models of a theory given as integer rules, in canonical order.
 
     They are the unions of one minimal model per part (`_parts`), with every
-    atom in no rule false.  One search keeps every block clause, so a large
-    product is cheaper part by part, but finding the parts pays only there:
-    the parts get solvers once the whole search finds more models than atoms."""
-    search = theory.solver(bound).extremal_models(default=False)
-    found = list(islice(search, len(theory.atoms) + 1))
-    if len(found) <= len(theory.atoms):
-        return canonical(found)
-    parts = _parts(theory)
-    if len(parts) == 1:
-        return canonical(found + list(search))
-    product = [frozenset()]
-    for part in parts:
-        own = list(part.solver(bound).extremal_models(default=False))
-        product = [m | p for m in product for p in own]
-    return canonical(product)
+    atom in no clause false.  One search keeps every block clause, so a large
+    product is cheaper part by part, but splitting costs a pass over the
+    literal occurrences of the integer clauses and a solver per part.  So the
+    whole search runs first, rent or buy, and splits once its models times
+    the atoms exceed the literal occurrences, counted only once they exceed
+    the clauses.  A theory with few models never splits: on the benchmark's
+    seed-1 cycles, 600 of `enumerate`'s 780 solve operations split, and none
+    of `search`'s or `decide`'s."""
+    cnf = _rule_clauses(theory.clauses)
+    search = theory.solver(bound, cnf).extremal_models(default=False)
+    n = len(theory.atoms) or 1
+    found = list(islice(search, len(cnf) // n + 1))
+    if len(found) > len(cnf) // n:
+        literals = sum(map(len, cnf))
+        found += islice(search, literals // n + 1 - len(found))
+        parts = _parts(theory.atoms, cnf) if len(found) > literals // n else []
+        if len(parts) > 1:
+            product = [frozenset()]
+            for atoms, clauses in parts:
+                # a part's atoms are the theory's, which met the bound
+                own = list(_CnfSolver(atoms, clauses).extremal_models(default=False))
+                product = [m | p for m in product for p in own]
+            return canonical(product)
+    return canonical(found + list(search))
 
 
-def _parts(theory: NumberedTheory) -> list[NumberedTheory]:
-    """The rules grouped by shared atoms, by union-find over the atom numbers,
-    each group renumbered over its own atoms in increasing order."""
-    parent = list(range(len(theory.atoms) + 1))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]  # path halving
-        return v
-
-    for head, body in theory.clauses:
-        for v, _ in head + body:
-            parent[root(v)] = root((head + body)[0][0])
-    groups: dict[int, list[Rule]] = {}
-    for rule in theory.clauses:
-        groups.setdefault(root((rule[0] + rule[1])[0][0]), []).append(rule)
-    parts = []
-    for rules in groups.values():
-        number = {v: i for i, v in enumerate(sorted({v for h, b in rules for v, _ in h + b}), 1)}
-        renumber = lambda side: tuple([(number[v], neg) for v, neg in side])
-        parts.append(NumberedTheory([theory.atoms[v - 1] for v in number],
-                                    [(renumber(h), renumber(b)) for h, b in rules]))
-    return parts
+def _parts(atoms: list[str], cnf: list[list[int]]) -> list[tuple[list[str], list[list[int]]]]:
+    """The integer clauses grouped by shared variables, by union-find over
+    the variable numbers, each group with its atoms in increasing order and
+    its clauses renumbered over them.  A variable in no clause is in no
+    group.  The clauses may be a solver's, whose literals the watch scheme
+    has reordered: a group depends only on which variables a clause holds.
+    It runs once per split, in about linear time in the literal occurrences."""
+    n = len(atoms)
+    parent = list(range(n + 1))
+    occurs = [False] * (n + 1)
+    for clause in cnf:
+        first = 0
+        for lit in clause:
+            v = lit if lit > 0 else -lit
+            occurs[v] = True
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]  # path halving
+            if first:
+                parent[v] = first
+            else:
+                first = v
+    names: dict[int, list[str]] = {}
+    number = [0] * (2 * n + 1)  # by literal, -v at slot 2n + 1 - v, as in the solver
+    for v in range(1, n + 1):
+        if occurs[v]:
+            r = v
+            while parent[r] != r:
+                r = parent[r]
+            parent[v] = r
+            own = names.setdefault(r, [])
+            own.append(atoms[v - 1])
+            number[v], number[-v] = len(own), -len(own)
+    groups: dict[int, list[list[int]]] = {r: [] for r in names}
+    for clause in cnf:
+        v = clause[0]
+        groups[parent[v if v > 0 else -v]].append([number[lit] for lit in clause])
+    return [(names[r], groups[r]) for r in names]
 
 
 def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:

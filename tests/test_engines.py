@@ -37,9 +37,9 @@ from argstable import (
     stable_fragment,
     stable_models,
 )
-from argstable import cli, engines
+from argstable import cli, engines, logic
 from argstable.logic import _CnfSolver, _cnf, _rule_clauses, canonical
-from argstable.translate import alpha, defeat_atom, gamma
+from argstable.translate import alpha, alpha_rules, defeat_atom, gamma, gamma_rules
 from tests.common import (
     EMPTY,
     CHAIN,
@@ -51,7 +51,9 @@ from tests.common import (
     attack_chain,
     count_searches,
     count_solver_builds,
+    knot_copies,
     mutual_attacks,
+    odd_cycles,
     random_attacks,
     random_framework,
     recursion_headroom,
@@ -385,12 +387,22 @@ def test_lambda_checks_every_candidate_on_one_solver(monkeypatch):
     assert found == expected
 
 
+def _split_point(theory):
+    """The models the whole search finds before it splits: the first m with
+    m times the atoms past the literal occurrences of the integer clauses."""
+    literals = sum(map(len, _rule_clauses(theory.clauses)))
+    return literals // len(theory.atoms) + 1
+
+
 # The scaling gate of the part-by-part enumeration, with no wall clock: the
 # searches count the work.  `gamma(mutual_attacks(k))` has 2^k minimal models
-# over 2k atoms in k parts of two: the whole search stops at 2k + 1 models,
-# and each part then takes at most three searches, where one search per
-# extension would take 2^k.  `sink(k)` is connected, so its one solver still
-# takes one search per extension.
+# over 2k atoms and 6k literal occurrences, in k parts of two: the whole
+# search stops at its fourth model, and each part then takes at most three
+# searches, where one search per extension would take 2^k.  k copies of the
+# knot have 2^k minimal models over 5k atoms and 23k (gamma) or 25k (alpha)
+# literal occurrences: two copies stay on one solver, three and four split.
+# `sink(k)` is connected, so its one solver still takes one search per
+# extension.
 def test_disjoint_parts_are_enumerated_part_by_part(monkeypatch):
     built = count_solver_builds(monkeypatch)
     searches = count_searches(monkeypatch)
@@ -400,9 +412,26 @@ def test_disjoint_parts_are_enumerated_part_by_part(monkeypatch):
         return [frozenset(f"{'ab'[c >> i & 1]}{i}" for i in range(k)) for c in range(2 ** k)]
 
     for k in range(8, 13):
-        del searches[:]
-        assert list(preferred_via_gamma(mutual_attacks(k)).extensions) == canonical(choices(k))
-        assert len(searches) <= (2 * k + 1) + 3 * k
+        del built[:], searches[:]
+        af = mutual_attacks(k)
+        assert list(preferred_via_gamma(af).extensions) == canonical(choices(k))
+        per_solver = collections.Counter(map(id, searches))
+        assert per_solver[id(built[0])] == _split_point(gamma_rules(af)) == 4
+        assert len(built) == 1 + k
+        assert all(per_solver[id(part)] <= 3 for part in built[1:])
+    for k in (2, 3, 4):
+        af = knot_copies(k)
+        sides = [({f"a{i}"}, {f"b{i}", f"d{i}"}) for i in range(k)]
+        expected = canonical(frozenset().union(*pick) for pick in itertools.product(*sides))
+        for engine, rules in ((preferred_via_alpha, alpha_rules), (preferred_via_gamma, gamma_rules)):
+            del built[:], searches[:]
+            assert list(engine(af).extensions) == expected
+            per_solver = collections.Counter(map(id, searches))
+            split = 2 ** k >= _split_point(rules(af))
+            assert split == (k > 2)
+            assert len(built) == (1 + k if split else 1)
+            whole = per_solver[id(built[0])]
+            assert whole == _split_point(rules(af)) if split else whole <= 2 ** k + 1
     for k in range(8, 11):
         del built[:], searches[:]
         all_b = frozenset(f"b{i}" for i in range(k))
@@ -410,6 +439,24 @@ def test_disjoint_parts_are_enumerated_part_by_part(monkeypatch):
         assert list(preferred_via_gamma(sink(k)).extensions) == expected
         assert len(built) == 1
         assert len(searches) == 2 ** k
+
+
+# The other side of the split rule: a theory with few models pays for no
+# parts.  Each of these has one or a few preferred extensions, and the
+# eager split that multi-part theories like the 3-cycles would take builds
+# more solvers.
+def test_few_models_build_one_solver_and_find_no_parts(monkeypatch):
+    built = count_solver_builds(monkeypatch)
+    parts = []
+    find = logic._parts
+    monkeypatch.setattr(logic, "_parts", lambda *args: parts.append(args) or find(*args))
+    frameworks = [odd_cycles(4), attack_chain(100)]
+    frameworks += [random_attacks(40, 0.04, seed) for seed in range(1, 11)]
+    for af, engine in itertools.product(frameworks, ENGINES[:2]):
+        del built[:]
+        assert engine(af, bound=10_000).extensions
+        assert len(built) == 1
+    assert parts == []
 
 
 def test_long_chain_has_its_one_extension():
@@ -499,18 +546,46 @@ def test_engines_hand_the_solver_the_cnf_image(af):
         image = _rule_clauses(theory.clauses)
         (atoms, cnf), *others = _solver_inputs(engine, af)
         assert (atoms, cnf) == (theory.atoms, image)
-        # past more minimal models than atoms, one solver per part: mapped
-        # back through their atoms, the parts' clauses split the image's
+        # past the split point, one solver per part: mapped back through their
+        # atoms, the parts' clauses split the image's.  The parts are cut from
+        # the whole solver's clauses after its search has moved the watched
+        # literals of some to the front, so each compares as a literal set.
         index = {a: v for v, a in enumerate(theory.atoms, 1)}
         parts = [(a, c) for a, c in others if all(isinstance(x, str) for x in a)]
-        mapped = [[index[a[abs(lit) - 1]] * (1 if lit > 0 else -1) for lit in clause]
+        mapped = [sorted(index[a[abs(lit) - 1]] * (1 if lit > 0 else -1) for lit in clause)
                   for a, c in parts for clause in c]
-        assert sorted(mapped) == (sorted(image) if parts else [])
+        assert sorted(mapped) == (sorted(map(sorted, image)) if parts else [])
         part_atoms = [x for a, _ in parts for x in a]
         assert len(part_atoms) == len(set(part_atoms))
         # `lambda_` has `not`, so its engine checks the candidates on one more,
         # whose copy atoms are numbers
         assert len(others) - len(parts) == (build is lambda_ and bool(af.arguments))
+
+
+@st.composite
+def disjoint_frameworks(draw):
+    """Up to four `defeat_frameworks` renamed apart (`x` of the second is
+    `x_1`), or copies of two mutual attacks or of the knot, so that many
+    unions have more minimal models than the split point."""
+    copy = st.sampled_from([mutual_attacks(2), KNOT])
+    parts = draw(st.lists(st.one_of(defeat_frameworks(), copy), min_size=1, max_size=4))
+    names = [f"{x}_{k}" for k, af in enumerate(parts) for x in af.arguments]
+    attacks = [(f"{s}_{k}", f"{t}_{k}") for k, af in enumerate(parts) for s, t in af.attacks]
+    return ArgumentationFramework(frozenset(names), frozenset(attacks))
+
+
+# The engines decode a model by atom number; `translate.decode` formats each
+# argument's defeat atom and is the reference
+@settings(deadline=None, max_examples=200)
+@example(mutual_attacks(4))
+@example(knot_copies(3))
+@given(st.one_of(defeat_frameworks(), disjoint_frameworks()))
+def test_engine_extensions_decode_their_witnesses(af):
+    for engine in (preferred_via_alpha, preferred_via_gamma):
+        report = engine(af, bound=100)
+        assert set(report.extensions) == set(report.witnesses)
+        for extension, witness in report.witnesses.items():
+            assert extension == decode(af, witness)
 
 
 def test_engines_build_no_clause(monkeypatch, capsys):
@@ -551,10 +626,11 @@ def test_engines_build_no_clause(monkeypatch, capsys):
     assert built == []
 
 
-# perfbench's tracer times translation, search and decode by wrapping these
-# names in `engines`; an engine that reaches one by another route would run
-# untimed, and only the benchmark's self-tests would notice.
-_TRACED = ("alpha", "gamma", "lambda_", "minimal_models", "stable_models", "decode")
+# perfbench's tracer times translation and search by wrapping these names in
+# `engines`; an engine that reaches one by another route would run untimed,
+# and only the benchmark's self-tests would notice.  The engines decode their
+# models by atom number, not through `translate.decode`.
+_TRACED = ("alpha", "gamma", "lambda_", "minimal_models", "stable_models")
 
 
 def _counted(calls, name, fn):
@@ -565,10 +641,10 @@ def _counted(calls, name, fn):
 
 
 @pytest.mark.parametrize("run, reached", [
-    (lambda: preferred_via_alpha(KNOT), {"alpha", "minimal_models", "decode"}),
-    (lambda: preferred_via_gamma(KNOT), {"gamma", "minimal_models", "decode"}),
+    (lambda: preferred_via_alpha(KNOT), {"alpha", "minimal_models"}),
+    (lambda: preferred_via_gamma(KNOT), {"gamma", "minimal_models"}),
     (lambda: preferred_via_lambda(KNOT), {"lambda_", "stable_models"}),
-    (lambda: query(KNOT, "a", "brave"), {"gamma", "minimal_models", "decode"}),
+    (lambda: query(KNOT, "a", "brave"), {"gamma", "minimal_models"}),
     (lambda: check_preferred_unsat(KNOT, {"a"}), {"alpha"}),
     (lambda: check_preferred_consequence(KNOT, {"a"}), {"alpha"}),
 ], ids=["alpha", "gamma", "lambda", "query", "check_unsat", "check_consequence"])

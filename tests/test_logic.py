@@ -26,7 +26,7 @@ from argstable import (
     normalize,
     stable_models,
 )
-from argstable.logic import _cnf
+from argstable.logic import _cnf, _rule_clauses
 from argstable.translate import alpha, beta, defeat_map, gamma
 from tests.common import (
     FOUR_RULE_PROGRAM,
@@ -371,10 +371,12 @@ def test_each_extremal_model_takes_one_search(monkeypatch):
     """Decisions on the default side make the first model found extremal
     (Castell et al. 1996), so m minimal or maximal models take at most m + 1
     searches on one solver, the last one finding nothing: nothing re-solves
-    a model to shrink or grow it.  Past n minimal models over n atoms, the
-    whole solver stops at n + 1 searches and each part of the program gets a
-    solver of its own, whose searches are at most one more than the minimal
-    models' distinct projections onto its atoms.  For a program with `not`,
+    a model to shrink or grow it.  Over n atoms and L literal occurrences in
+    the program's integer clauses, the whole solver stops at its
+    floor(L / n) + 1-th minimal model, the first whose count times n exceeds
+    L, if the program falls into parts; then each part gets a solver of its
+    own, whose searches are at most one more than the minimal models'
+    distinct projections onto its atoms.  For a program with `not`,
     `stable_models` builds one more solver, over copy atoms named by
     numbers, that checks every candidate in at most one search."""
     built = count_solver_builds(monkeypatch)
@@ -387,7 +389,8 @@ def test_each_extremal_model_takes_one_search(monkeypatch):
         found = maximal_models(p)
         assert len(searches) <= len(found) + 1
         candidates = minimal_models(p)
-        n = len(p.signature)
+        literals = sum(map(len, _rule_clauses(_cnf(p).clauses)))
+        split_point = literals // (len(p.signature) or 1) + 1
         for enumerate_models in (minimal_models, stable_models):
             if enumerate_models is stable_models and not p.is_general():
                 continue
@@ -396,11 +399,12 @@ def test_each_extremal_model_takes_one_search(monkeypatch):
             per_solver = Counter(map(id, searches))
             whole, *parts = [s for s in built if all(isinstance(a, str) for a in s.atoms)]
             assert whole is built[0]
-            assert per_solver[id(whole)] <= (n if parts else len(candidates)) + 1
             if parts:
-                assert len(candidates) > n
+                assert per_solver[id(whole)] == split_point <= len(candidates)
                 part_atoms = sorted(a for part in parts for a in part.atoms)
                 assert part_atoms == sorted(p.occurring_atoms())
+            else:
+                assert per_solver[id(whole)] <= len(candidates) + 1
             for part in parts:
                 projections = {m & frozenset(part.atoms) for m in candidates}
                 assert per_solver[id(part)] <= len(projections) + 1
@@ -425,44 +429,64 @@ _ONE_OF_THREE = Program.of([clause(["a", "b", "c"])])
 _CHOICE = Program.of([clause(["a"], [Literal("b", 1)]), clause(["b"], [Literal("a", 1)])])
 
 
+# `a v b` with tautologies, which change no model: 2 minimal models over 2
+# atoms and 10 literal occurrences in 4 clauses
+_PADDED = Program.of([
+    clause(["a", "b"]), clause(["a", "b"], ["a", "b"]), clause(["a"], ["a"]), clause(["b"], ["b"]),
+])
+
+
 @st.composite
 def disjoint_unions(draw):
     """Disjoint unions of up to three parts, each a `random_program` of at
-    most two atoms or a part with two minimal models, so that three parts of
-    two minimal models each pass the atom count unless two atoms are
-    unused."""
+    most two atoms or a part with two minimal models, and up to two unused
+    atoms, so that unions fall on both sides of the split point."""
     random_part = st.integers(0, 2 ** 32).map(
         lambda seed: random_program(random.Random(seed), max_atoms=2, max_clauses=3))
-    parts = st.one_of(random_part, st.sampled_from([_EITHER, _CHOICE]))
+    parts = st.one_of(random_part, st.sampled_from([_EITHER, _CHOICE, _PADDED]))
     return _disjoint_union(draw(st.lists(parts, min_size=1, max_size=3)), draw(st.integers(0, 2)))
 
 
-# 4 minimal models over 4 atoms and over 5: one whole search, no parts
-_UNSPLIT = [_disjoint_union([_EITHER, _EITHER]), _disjoint_union([_EITHER, _EITHER], 1)]
-# 6 models over 5 atoms, 8 over 6 and 8 over 7: enumerated part by part
-_SPLIT = [
-    _disjoint_union([_EITHER, _ONE_OF_THREE]),
-    _disjoint_union([_EITHER] * 3),
-    _disjoint_union([_CHOICE] * 3, 1),
-]
+# Two padded parts: 4 minimal models over 4 atoms and 20 literal occurrences.
+# With one unused atom, 4 models times 5 atoms is 20, exactly at the split
+# point: one whole search.  With two, the fourth model is the first past
+# 20 / 6 atoms, one model past it: two part solvers.
+_AT_SPLIT_POINT = _disjoint_union([_PADDED] * 2, 1)
+_PAST_SPLIT_POINT = _disjoint_union([_PADDED] * 2, 2)
+# Far past it: 4 models over 4 atoms and over 5, 6 over 5, 8 over 6 and 8
+# over 7, with 4 to 8 literal occurrences, enumerated part by part
+_SPLIT = {
+    "either-2": _disjoint_union([_EITHER, _EITHER]),
+    "either-2-unused-1": _disjoint_union([_EITHER, _EITHER], 1),
+    "either-one-of-three": _disjoint_union([_EITHER, _ONE_OF_THREE]),
+    "either-3": _disjoint_union([_EITHER] * 3),
+    "choice-3-unused-1": _disjoint_union([_CHOICE] * 3, 1),
+}
 
 
 @settings(deadline=None, max_examples=100)
-@example(_UNSPLIT[0])
-@example(_UNSPLIT[1])
-@example(_SPLIT[0])
-@example(_SPLIT[1])
-@example(_SPLIT[2])
+@example(_AT_SPLIT_POINT)
+@example(_PAST_SPLIT_POINT)
+@example(_SPLIT["either-2"])
+@example(_SPLIT["either-one-of-three"])
+@example(_SPLIT["either-3"])
+@example(_SPLIT["choice-3-unused-1"])
 @given(disjoint_unions())
 def test_disjoint_unions_match_brute_force(p):
     assert minimal_models(p) == brute_minimal(models(p))
     assert stable_models(p) == brute_stable(p)
 
 
-@pytest.mark.parametrize("p, parts", [(p, 0) for p in _UNSPLIT] + list(zip(_SPLIT, (2, 3, 3))))
-def test_minimal_models_split_only_past_the_atom_count(monkeypatch, p, parts):
+# a connected program past the split point keeps its one whole search
+@pytest.mark.parametrize("p, parts", [
+    pytest.param(_AT_SPLIT_POINT, 0, id="at-split-point"),
+    pytest.param(_PAST_SPLIT_POINT, 2, id="past-split-point"),
+    pytest.param(_ONE_OF_THREE, 0, id="connected"),
+    *(pytest.param(p, k, id=name) for (name, p), k in zip(_SPLIT.items(), (2, 2, 2, 3, 3))),
+])
+def test_minimal_models_split_only_past_the_literal_count(monkeypatch, p, parts):
     built = count_solver_builds(monkeypatch)
-    minimal_models(p)
+    assert minimal_models(p) == brute_minimal(models(p))
     assert len(built) == 1 + parts
 
 
