@@ -326,13 +326,14 @@ class _CnfSolver:
     Extensible SAT-solver", SAT 2003), with two watched literals per clause
     (Moskewicz et al., "Chaff", DAC 2001).
 
-    `solve` makes its assumptions the first decisions; `extremal_models`
-    enumerates in one search, resumed after each model.  Each conflict is
-    analysed to its first unique implication point; the learned clause sends
-    the search back to the highest decision level among its other literals.
-    Assumptions are decisions, so no learned clause rests on them: every
-    learned clause, and every assignment at level 0, follows from the clauses
-    added so far, and both are kept for every later call.
+    `solve` makes its assumptions the first decisions, and every other
+    decision sets an atom false; `minimal_models` enumerates in one search,
+    resumed after each model.  Each conflict is analysed to its first unique
+    implication point; the learned clause sends the search back to the
+    highest decision level among its other literals.  Assumptions are
+    decisions, so no learned clause rests on them: every learned clause, and
+    every assignment at level 0, follows from the clauses added so far, and
+    both are kept for every later call.
     """
 
     def __init__(self, atoms: list[str], cnf: list[list[int]]):
@@ -352,66 +353,56 @@ class _CnfSolver:
         self.free = 1  # every variable below `free` has a value
         self.unsat = False  # the clauses added so far have no model
         # a clause of two literals or more is watched at its first two, with
-        # no call per clause; the first unsatisfiable one ends the attaching
-        watches = self.watches
+        # no call per clause, and a unit clause assigns its literal; nothing
+        # is propagated yet, so the first propagation visits every clause
+        # that watches a literal the units falsify.  The first unsatisfiable
+        # clause, empty or a unit already false, ends the attaching.
+        value, watches = self.value, self.watches
         for clause in cnf:
             if len(clause) > 1:
                 watches[clause[0]].append(clause)
                 watches[clause[1]].append(clause)
-            elif not self._attach(clause):
+            elif not clause or value[clause[0]] is False:
                 self.unsat = True
                 break
+            elif value[clause[0]] is None:
+                self._assign(clause[0], clause)
 
-    def solve(self, assume: Iterable[int] = (), default: bool = False) -> Interpretation | None:
+    def solve(self, assume: Iterable[int] = ()) -> Interpretation | None:
         """A model of the clauses added so far and the assumed literals, or
-        None if there is none.  Each decision gives the lowest unassigned
-        variable the value `default`, so no atom is left free.  If every
-        assumption sets its atom to `default` too, the model is minimal
-        (False) or maximal (True) among those models, as `extremal_models`
-        explains."""
-        model = None if self.unsat else self._search(list(assume), default)
+        None if there is none.  Each decision sets the lowest unassigned
+        variable false, so no atom is left free.  If every assumption is
+        negative too, the model is minimal among those models, as
+        `minimal_models` explains."""
+        model = None if self.unsat else self._search(list(assume))
         self._backtrack(0)
         return model
 
-    def extremal_models(self, default: bool) -> Iterator[Interpretation]:
-        """Every minimal (`default` False) or maximal (True) model of the
-        clauses added so far, each as soon as one search finds it; no other
-        call may come between two of them.
+    def minimal_models(self) -> Iterator[Interpretation]:
+        """Every minimal model of the clauses added so far, each as soon as
+        one search finds it; no other call may come between two of them.
 
-        Every decision sets its atom to `default`, and every other literal on
-        the trail is implied by a clause that follows from the added ones.
-        So no model N of those clauses lies strictly between the model M
-        found and the `default` side (below M for False, above for True):
-        the first trail literal N falsifies is no decision, as N agrees with
-        M wherever M takes `default`, and no implied literal, whose clause N
-        would falsify (Castell, Cayrol, Cayrol & Le Berre, "Using the Davis
-        and Putnam procedure for an efficient computation of preferred
-        models", ECAI 1996).  So each model is extremal as found, with no
-        step that shrinks or grows it.  Its block clause, the negated
-        literals that differ from `default`, keeps out it and every model
-        beyond it, none of them extremal, and the search resumes from the
-        trail instead of starting again (Toda & Soh, "Implementing efficient
-        all solutions SAT solvers", ACM JEA 2016)."""
+        Every decision sets its atom false, and every true atom on the trail
+        is implied by a clause that follows from the added ones.  So no model
+        N of those clauses lies strictly below the model M found: the first
+        trail literal N falsifies is no decision, as N is false wherever M
+        is, and no implied literal, whose clause N would falsify (Castell,
+        Cayrol, Cayrol & Le Berre, "Using the Davis and Putnam procedure for
+        an efficient computation of preferred models", ECAI 1996).  So each
+        model is minimal as found, with no step that shrinks it.  Its block
+        clause, the negation of its true atoms, keeps out it and every model
+        above it, none of them minimal, and the search resumes from the trail
+        instead of starting again (Toda & Soh, "Implementing efficient all
+        solutions SAT solvers", ACM JEA 2016)."""
         while not self.unsat:
-            model = self._search([], default)
+            model = self._search([])
             if model is None:
                 break
             yield model
             # the trail runs in level order, so the block clause starts with
             # its literals of the highest level
-            self._backjump([-lit for lit in reversed(self.trail) if (lit > 0) != default])
+            self._backjump([-lit for lit in reversed(self.trail) if lit > 0])
         self._backtrack(0)
-
-    def _attach(self, clause: list[int]) -> bool:
-        """Assign the literal of a unit clause; False for an empty clause or a
-        unit clause already false.  Nothing is propagated yet, so the first
-        propagation visits every clause that watches a literal the units
-        falsify."""
-        if not clause or self.value[clause[0]] is False:
-            return False
-        if self.value[clause[0]] is None:
-            self._assign(clause[0], clause)
-        return True
 
     def _assign(self, lit: int, reason: list[int] | None) -> None:
         self.value[lit], self.value[-lit] = True, False
@@ -534,7 +525,7 @@ class _CnfSolver:
         else:
             self._backtrack(top - 1)
 
-    def _search(self, assume: list[int], default: bool) -> Interpretation | None:
+    def _search(self, assume: list[int]) -> Interpretation | None:
         value, limits, variables = self.value, self.limits, len(self.atoms)
         while True:
             conflict = self._propagate()
@@ -559,42 +550,39 @@ class _CnfSolver:
                 if v > variables:
                     return frozenset(a for a, x in zip(self.atoms, value[1:]) if x)
                 limits.append(len(self.trail))
-                self._assign(v if default else -v, None)
+                self._assign(-v, None)
 
 
 def minimal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
-    """Subset-minimal models over the signature."""
-    return _minimal_models(_cnf(program), bound)
+    """Subset-minimal models over the signature, in canonical order."""
+    return canonical(_minimal_models(_cnf(program), bound))
 
 
 def _minimal_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
-    """The minimal models of a theory given as integer rules, in canonical order.
+    """The minimal models of a theory given as integer rules, unsorted.
 
     They are the unions of one minimal model per part (`_parts`), with every
     atom in no clause false.  One search keeps every block clause, so a large
     product is cheaper part by part, but splitting costs a pass over the
     literal occurrences of the integer clauses and a solver per part.  So the
     whole search runs first, rent or buy, and splits once its models times
-    the atoms exceed the literal occurrences, counted only once they exceed
-    the clauses.  A theory with few models never splits: on the benchmark's
-    seed-1 cycles, 600 of `enumerate`'s 780 solve operations split, and none
-    of `search`'s or `decide`'s."""
+    the atoms exceed the literal occurrences.  A theory with few models never
+    splits: on the benchmark's seed-1 cycles, 600 of `enumerate`'s 780 solve
+    operations split, and none of `search`'s or `decide`'s."""
     cnf = _rule_clauses(theory.clauses)
-    search = theory.solver(bound, cnf).extremal_models(default=False)
-    n = len(theory.atoms) or 1
-    found = list(islice(search, len(cnf) // n + 1))
-    if len(found) > len(cnf) // n:
-        literals = sum(map(len, cnf))
-        found += islice(search, literals // n + 1 - len(found))
-        parts = _parts(theory.atoms, cnf) if len(found) > literals // n else []
+    search = theory.solver(bound, cnf).minimal_models()
+    split = sum(map(len, cnf)) // (len(theory.atoms) or 1) + 1
+    found = list(islice(search, split))
+    if len(found) == split:
+        parts = _parts(theory.atoms, cnf)
         if len(parts) > 1:
             product = [frozenset()]
             for atoms, clauses in parts:
                 # a part's atoms are the theory's, which met the bound
-                own = list(_CnfSolver(atoms, clauses).extremal_models(default=False))
+                own = list(_CnfSolver(atoms, clauses).minimal_models())
                 product = [m | p for m in product for p in own]
-            return canonical(product)
-    return canonical(found + list(search))
+            return product
+    return found + list(search)
 
 
 def _parts(atoms: list[str], cnf: list[list[int]]) -> list[tuple[list[str], list[list[int]]]]:
@@ -637,8 +625,14 @@ def _parts(atoms: list[str], cnf: list[list[int]]) -> list[tuple[list[str], list
 
 
 def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
-    """Subset-maximal models over the signature."""
-    return canonical(_cnf(program).solver(bound).extremal_models(default=True))
+    """Subset-maximal models over the signature, in canonical order: the
+    complements of the minimal models of the theory with every literal
+    negated, which the atoms outside M model exactly when M models it."""
+    atoms, rules = _cnf(program)
+    flip = lambda side: tuple([(v, neg + 1) for v, neg in side])
+    mirrored = NumberedTheory(atoms, [(flip(head), flip(body)) for head, body in rules])
+    signature = frozenset(atoms)
+    return canonical(signature - m for m in _minimal_models(mirrored, bound))
 
 
 def is_unsatisfiable(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> bool:
@@ -699,14 +693,15 @@ def gl_reduct(program: Program, s: Interpretation) -> Program:
 
 
 def stable_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
-    """All sets that are minimal models of their own reduct (`_stable_models`)."""
+    """All sets that are minimal models of their own reduct (`_stable_models`),
+    in canonical order."""
     if not program.is_general():
         raise ValueError("stable models require a general program")
-    return _stable_models(_cnf(program), bound)
+    return canonical(_stable_models(_cnf(program), bound))
 
 
 def _stable_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
-    """The stable models of a general theory given as integer rules.
+    """The stable models of a general theory given as integer rules, unsorted.
 
     Candidates are the classical minimal models M of P: a smaller model of P
     would model P^M too.  A positive theory is its own reduct.  Otherwise
@@ -716,7 +711,7 @@ def _stable_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
     Copies assumed true for the negated atoms in M drop the clauses P^M
     drops, the others assumed false strip `not b`, and every other atom
     outside M assumed false leaves one solve for a model of P^M minimal among
-    those within M (Castell et al. 1996, as in `_CnfSolver.extremal_models`).
+    those within M (Castell et al. 1996, as in `_CnfSolver.minimal_models`).
     M models P^M, as each clause P^M keeps had its `not b` true under M, so M
     is stable exactly when that model, its copies aside, is M."""
     candidates = _minimal_models(theory, bound)

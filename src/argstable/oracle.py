@@ -34,9 +34,9 @@ def enumerate_admissible(
 def preferred_oracle(
     af: ArgumentationFramework, bound: int = DEFAULT_SUBSET_BOUND
 ) -> list[Extension]:
-    """Inclusion-maximal admissible sets by pairwise comparison."""
+    """Inclusion-maximal admissible sets by pairwise comparison, in canonical order."""
     admissible = enumerate_admissible(af, bound=bound)
-    return canonical(s for s in admissible if not any(s < t for t in admissible))
+    return [s for s in admissible if not any(s < t for t in admissible)]
 
 
 def stable_oracle(

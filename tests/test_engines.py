@@ -286,9 +286,12 @@ class TestQuery:
     def test_matches_oracle(self):
         rng = random.Random(37)
         # The evidence is the first qualifying model in canonical order.  Few
-        # small random frameworks have two qualifying extensions, so two
-        # fixed ones with many extensions pin that order.
-        fixed = [KNOT, mutual_attacks(3)]
+        # small random frameworks have two qualifying extensions, so fixed
+        # ones pin that order: two with many extensions, and one where the
+        # search finds {f, h} first but the evidence for brave h is
+        # {d(f), g, h}.
+        fixed = [KNOT, mutual_attacks(3),
+                 ArgumentationFramework({"f", "g", "h"}, {("f", "g"), ("g", "f")})]
         for af in fixed + [random_framework(rng, max_args=5) for _ in range(15)]:
             preferred = preferred_oracle(af)
             ordered = canonical(e | compl(af, e) for e in preferred)

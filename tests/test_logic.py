@@ -368,15 +368,17 @@ def test_stable_models_match_brute_force(p):
 
 
 def test_each_extremal_model_takes_one_search(monkeypatch):
-    """Decisions on the default side make the first model found extremal
-    (Castell et al. 1996), so m minimal or maximal models take at most m + 1
-    searches on one solver, the last one finding nothing: nothing re-solves
-    a model to shrink or grow it.  Over n atoms and L literal occurrences in
-    the program's integer clauses, the whole solver stops at its
-    floor(L / n) + 1-th minimal model, the first whose count times n exceeds
-    L, if the program falls into parts; then each part gets a solver of its
-    own, whose searches are at most one more than the minimal models'
-    distinct projections onto its atoms.  For a program with `not`,
+    """Decisions that set atoms false make the first model found minimal
+    (Castell et al. 1996), so m minimal models take at most m + 1 searches on
+    one solver, the last one finding nothing: nothing re-solves a model to
+    shrink it.  Over n atoms and L literal occurrences in the program's
+    integer clauses, the whole solver stops at its floor(L / n) + 1-th
+    minimal model, the first whose count times n exceeds L, if the program
+    falls into parts; then each part gets a solver of its own, whose searches
+    are at most one more than the minimal models' distinct projections onto
+    its atoms.  `maximal_models` runs the same search on the mirrored
+    theory, whose minimal models are the complements of the maximal ones,
+    over the same atoms and literal count.  For a program with `not`,
     `stable_models` builds one more solver, over copy atoms named by
     numbers, that checks every candidate in at most one search."""
     built = count_solver_builds(monkeypatch)
@@ -385,15 +387,13 @@ def test_each_extremal_model_takes_one_search(monkeypatch):
     programs = [FOUR_RULE_PROGRAM, alpha(SELF_ATTACK), alpha(mutual_attacks(4)), gamma(CHAIN), beta(CHAIN)]
     programs += [random_program(rng, max_atoms=8, max_clauses=8) for _ in range(100)]
     for p in programs:
-        del searches[:]
-        found = maximal_models(p)
-        assert len(searches) <= len(found) + 1
-        candidates = minimal_models(p)
         literals = sum(map(len, _rule_clauses(_cnf(p).clauses)))
         split_point = literals // (len(p.signature) or 1) + 1
-        for enumerate_models in (minimal_models, stable_models):
+        for enumerate_models in (minimal_models, maximal_models, stable_models):
             if enumerate_models is stable_models and not p.is_general():
                 continue
+            # the models the searches find, maximal ones as their complements
+            candidates = (maximal_models if enumerate_models is maximal_models else minimal_models)(p)
             del built[:], searches[:]
             enumerate_models(p)
             per_solver = Counter(map(id, searches))
@@ -464,6 +464,11 @@ _SPLIT = {
 }
 
 
+# Two parts, {x1, x3, x5} and {x2, x4}, that interleave in sort order, so
+# the product of the parts' models is not in canonical order
+_INTERLEAVED = Program.of([clause((), ["x3", "x5"]), clause(["x1"], ["x3"]), clause((), ["x2", "x4"])])
+
+
 @settings(deadline=None, max_examples=100)
 @example(_AT_SPLIT_POINT)
 @example(_PAST_SPLIT_POINT)
@@ -471,9 +476,11 @@ _SPLIT = {
 @example(_SPLIT["either-one-of-three"])
 @example(_SPLIT["either-3"])
 @example(_SPLIT["choice-3-unused-1"])
+@example(_INTERLEAVED)
 @given(disjoint_unions())
 def test_disjoint_unions_match_brute_force(p):
     assert minimal_models(p) == brute_minimal(models(p))
+    assert maximal_models(p) == brute_maximal(models(p))
     assert stable_models(p) == brute_stable(p)
 
 
@@ -488,6 +495,20 @@ def test_minimal_models_split_only_past_the_literal_count(monkeypatch, p, parts)
     built = count_solver_builds(monkeypatch)
     assert minimal_models(p) == brute_minimal(models(p))
     assert len(built) == 1 + parts
+
+
+@pytest.mark.parametrize("k", range(8, 13))
+def test_maximal_models_of_disjoint_parts_are_enumerated_part_by_part(monkeypatch, k):
+    """k disjoint constraints `:- a, b` have 2^k maximal models, one of each
+    pair in each.  The mirrored search splits at its second model and gives
+    each pair a solver of its own; one search would enumerate all 2^k."""
+    p = _disjoint_union([Program.of([clause((), ["a", "b"])])] * k)
+    built = count_solver_builds(monkeypatch)
+    found = maximal_models(p)
+    assert len(built) == 1 + k
+    assert len(set(found)) == len(found) == 2 ** k
+    # k atoms, at most one of each pair: exactly one, so each is maximal
+    assert all(len(m) == k and is_model(p, m) for m in found)
 
 
 class TestGTransform:
@@ -687,18 +708,14 @@ def test_entails_agrees_with_models(case):
 
 @st.composite
 def solver_sessions(draw):
-    """A CNF over at most six variables, a sequence of `solve(assume,
-    default)` steps on one solver, then the default for an enumeration of
-    extremal models; repeated literals and contradictory assumptions
-    included."""
+    """A CNF over at most six variables and a sequence of assumption lists,
+    each one `solve` on one solver, before an enumeration of its minimal
+    models; repeated literals and contradictory assumptions included."""
     n = draw(st.integers(1, 6))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
     initial = draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=10))
-    steps = draw(st.lists(
-        st.tuples(st.just("solve"), st.lists(literal, max_size=3), st.booleans()),
-        max_size=8,
-    ))
-    return n, initial, steps, draw(st.booleans())
+    steps = draw(st.lists(st.lists(literal, max_size=3), max_size=8))
+    return n, initial, steps
 
 
 def _satisfies(true_vars, cnf):
@@ -710,24 +727,24 @@ def _brute_models(n, cnf):
     return [s for s in subsets if _satisfies(s, cnf)]
 
 
-# First example: deciding 1 implies 2 and a conflict with two literals of
-# that level, so a learned clause that stopped short of the first UIP would
-# be [-2], which no model satisfies.  Second: the first minimal model, {x5},
-# is reached by deciding x1 and x2 false and leaves the unit block clause
-# [-5]; asserted anywhere but at level 0, where nothing undoes it, it falls
-# to a later backtrack, and {x5} comes out twice.  Third: deciding x1 false
-# implies x2 and x3, so the block clause [-3, -2] has two literals at level
-# 1, and the search must leave that level to find {x1}.  Fourth: the unit
-# clauses, sorted first, falsify both watches of [1, 2] before any
-# propagation, which must still find the conflict.
+# First example: deciding x1 false implies not x2 and x2, a conflict with two
+# literals of that level, so a learned clause that stopped short of the
+# first UIP would be [2], which no model satisfies.  Second: the first
+# minimal model, {x5}, is reached by deciding x1 and x2 false and leaves the
+# unit block clause [-5]; asserted anywhere but at level 0, where nothing
+# undoes it, it falls to a later backtrack, and {x5} comes out twice.
+# Third: deciding x1 false implies x2 and x3, so the block clause [-3, -2]
+# has two literals at level 1, and the search must leave that level to find
+# {x1}.  Fourth: the unit clauses, sorted first, falsify both watches of
+# [1, 2] before any propagation, which must still find the conflict.
 @settings(deadline=None, max_examples=300)
-@example((2, [[1, 2], [-1, 2], [-1, -2]], [("solve", [], True)], True))
-@example((5, [[5, 2]], [], False))
-@example((3, [[1, 2], [1, 3]], [], False))
-@example((2, [[-1], [-2], [1, 2]], [("solve", [], False)], False))
+@example((2, [[-1, -2], [1, -2], [1, 2]], [[]]))
+@example((5, [[5, 2]], []))
+@example((3, [[1, 2], [1, 3]], []))
+@example((2, [[-1], [-2], [1, 2]], [[]]))
 @given(solver_sessions())
 def test_incremental_solver_agrees_with_brute_force(session):
-    n, initial, steps, enumerate_default = session
+    n, initial, steps = session
     atoms = [f"x{v}" for v in range(1, n + 1)]
     program = Program.of(
         [
@@ -740,27 +757,26 @@ def test_incremental_solver_agrees_with_brute_force(session):
     assert theory.atoms == atoms
     index = {a: v for v, a in enumerate(atoms, 1)}
     solver = theory.solver(bound=n)
-    for _, assume, default in steps:
+    for assume in steps:
         candidates = _brute_models(n, initial + [[l] for l in assume])
-        model = solver.solve(assume, default)
+        model = solver.solve(assume)
         assert (model is not None) == bool(candidates)
         if model is None:
             continue
         found = frozenset(index[a] for a in model)
         assert found in candidates
-        if all((l > 0) == default for l in assume):
-            # decisions and assumptions all on the default side leave no
-            # model of these clauses beyond the one found
-            assert not [s for s in candidates if (s > found if default else s < found)]
+        if all(l < 0 for l in assume):
+            # decisions and assumptions all false leave no model of these
+            # clauses below the one found
+            assert not [s for s in candidates if s < found]
     candidates = _brute_models(n, initial)
-    extremal = brute_maximal(candidates) if enumerate_default else brute_minimal(candidates)
     # one more than there are sets, so a model found twice cannot loop forever
     found = [
         frozenset(index[a] for a in m)
-        for m in itertools.islice(solver.extremal_models(enumerate_default), (1 << n) + 1)
+        for m in itertools.islice(solver.minimal_models(), (1 << n) + 1)
     ]
     assert len(found) == len(set(found))
-    assert set(found) == set(extremal)
+    assert set(found) == set(brute_minimal(candidates))
     # the block clauses keep out every model
     assert solver.solve() is None
 
