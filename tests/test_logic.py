@@ -479,8 +479,9 @@ _INTERLEAVED = Program.of([clause((), ["x3", "x5"]), clause(["x1"], ["x3"]), cla
 @example(_INTERLEAVED)
 @given(disjoint_unions())
 def test_disjoint_unions_match_brute_force(p):
-    assert minimal_models(p) == brute_minimal(models(p))
-    assert maximal_models(p) == brute_maximal(models(p))
+    everything = models(p)
+    assert minimal_models(p) == brute_minimal(everything)
+    assert maximal_models(p) == brute_maximal(everything)
     assert stable_models(p) == brute_stable(p)
 
 
