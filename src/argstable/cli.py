@@ -22,7 +22,6 @@ import io
 import json
 import os
 import sys
-from typing import NamedTuple
 
 from .engines import (
     SolveReport,
@@ -34,8 +33,7 @@ from .engines import (
 )
 from .errors import BoundExceededError, ParseError, UnknownArgumentError
 from .framework import ArgumentationFramework, parse_apx, parse_tgf
-from .logic import DEFAULT_MODEL_BOUND
-from .oracle import DEFAULT_SUBSET_BOUND, enumerate_admissible, preferred_oracle
+from .oracle import enumerate_admissible, preferred_oracle
 from .translate import (
     alpha_rules,
     beta_rules,
@@ -44,10 +42,12 @@ from .translate import (
     stable_fragment_rules,
 )
 
+# in the order of `--engine`'s choices and of the `--cross-check` runs
 _ENGINES = {
     "alpha": preferred_via_alpha,
     "gamma": preferred_via_gamma,
     "lambda": preferred_via_lambda,
+    "oracle": lambda af, **bound: SolveReport("oracle", tuple(preferred_oracle(af, **bound)), {}),
 }
 
 # each target's integer rules, which `translate` emits with no `Program` built
@@ -69,13 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}argstable: error: {message}")
 
 
-class RunConfig(NamedTuple):
-    input_path: str
-    input_format: str
-    model_bound: int
-    subset_bound: int
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="argstable", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -88,7 +81,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="list the preferred extensions")
     common(p)
     p.add_argument("--engine", default="gamma",
-                   choices=["alpha", "gamma", "lambda", "oracle"])
+                   choices=list(_ENGINES))
     p.add_argument("--json", action="store_true",
                    help="one JSON object per extension, with its witness model")
     p.add_argument("--cross-check", action="store_true",
@@ -115,46 +108,41 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config(ns) -> RunConfig:
-    model_bound, subset_bound = DEFAULT_MODEL_BOUND, DEFAULT_SUBSET_BOUND
+def _bound() -> dict[str, int]:
+    """The keyword arguments that pass ARGSTABLE_BOUND on to every exhaustive
+    call: none when it is unset, so each call keeps its own default."""
     raw = os.environ.get("ARGSTABLE_BOUND")
-    if raw is not None:
-        try:
-            model_bound = subset_bound = int(raw)
-        except ValueError:
-            raise _UsageError(f"argstable: error: ARGSTABLE_BOUND is not an integer: {raw!r}")
-        if model_bound < 0:
-            raise _UsageError(f"argstable: error: ARGSTABLE_BOUND is negative: {raw!r}")
-    return RunConfig(ns.input, ns.format, model_bound, subset_bound)
+    if raw is None:
+        return {}
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise _UsageError(f"argstable: error: ARGSTABLE_BOUND is not an integer: {raw!r}")
+    if bound < 0:
+        raise _UsageError(f"argstable: error: ARGSTABLE_BOUND is negative: {raw!r}")
+    return {"bound": bound}
 
 
-def _load(config: RunConfig) -> ArgumentationFramework:
+def _load(ns) -> ArgumentationFramework:
     try:
         # a leading byte-order mark, as some editors write, is no part of the text
-        if config.input_path == "-":
+        if ns.input == "-":
             text = sys.stdin.read().removeprefix("\ufeff")
         else:
-            with open(config.input_path, encoding="utf-8-sig") as handle:
+            with open(ns.input, encoding="utf-8-sig") as handle:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"argstable: error: cannot read {config.input_path}: {exc}")
-    return parse_apx(text) if config.input_format == "apx" else parse_tgf(text)
+        raise _UsageError(f"argstable: error: cannot read {ns.input}: {exc}")
+    return parse_apx(text) if ns.format == "apx" else parse_tgf(text)
 
 
 def _format_set(s) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
 
-def _run_engine(name: str, af: ArgumentationFramework, config: RunConfig) -> SolveReport:
-    if name == "oracle":
-        extensions = preferred_oracle(af, bound=config.subset_bound)
-        return SolveReport("oracle", tuple(extensions), {})
-    return _ENGINES[name](af, bound=config.model_bound)
-
-
-def _cmd_solve(ns, af: ArgumentationFramework, config: RunConfig) -> int:
+def _cmd_solve(ns, af: ArgumentationFramework, bound: dict) -> int:
     if ns.cross_check:
-        reports = [_run_engine(n, af, config) for n in ("alpha", "gamma", "lambda", "oracle")]
+        reports = [engine(af, **bound) for engine in _ENGINES.values()]
         results = {r.engine: r.extensions for r in reports}
         if len(set(results.values())) != 1:
             for engine, extensions in results.items():
@@ -166,7 +154,7 @@ def _cmd_solve(ns, af: ArgumentationFramework, config: RunConfig) -> int:
             return 4
         report = next(r for r in reports if r.engine == ns.engine)
     else:
-        report = _run_engine(ns.engine, af, config)
+        report = _ENGINES[ns.engine](af, **bound)
     for extension in report.extensions:
         if ns.json:
             witness = report.witnesses.get(extension)
@@ -180,8 +168,8 @@ def _cmd_solve(ns, af: ArgumentationFramework, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_check(ns, af: ArgumentationFramework, config: RunConfig) -> int:
-    verdict = check_preferred_unsat(af, frozenset(ns.members), bound=config.model_bound)
+def _cmd_check(ns, af: ArgumentationFramework, bound: dict) -> int:
+    verdict = check_preferred_unsat(af, frozenset(ns.members), **bound)
     if verdict.holds:
         print("preferred")
         return 0
@@ -195,9 +183,9 @@ def _cmd_check(ns, af: ArgumentationFramework, config: RunConfig) -> int:
     return 3
 
 
-def _cmd_query(ns, af: ArgumentationFramework, config: RunConfig) -> int:
+def _cmd_query(ns, af: ArgumentationFramework, bound: dict) -> int:
     mode = "brave" if ns.brave else "cautious"
-    verdict = query(af, ns.argument, mode, bound=config.model_bound)
+    verdict = query(af, ns.argument, mode, **bound)
     adverb = "bravely" if mode == "brave" else "cautiously"
     if verdict.evidence is not None:
         outcome = "true" if verdict.holds else "false"
@@ -208,14 +196,14 @@ def _cmd_query(ns, af: ArgumentationFramework, config: RunConfig) -> int:
     return 0 if verdict.holds else 3
 
 
-def _cmd_translate(ns, af: ArgumentationFramework, config: RunConfig) -> int:
+def _cmd_translate(ns, af: ArgumentationFramework, bound: dict) -> int:
     theory = _TARGETS[ns.target](af)
     sys.stdout.write(theory.to_asp() if ns.emit == "asp" else theory.to_dimacs())
     return 0
 
 
-def _cmd_admissible(ns, af: ArgumentationFramework, config: RunConfig) -> int:
-    for s in enumerate_admissible(af, bound=config.subset_bound):
+def _cmd_admissible(ns, af: ArgumentationFramework, bound: dict) -> int:
+    for s in enumerate_admissible(af, **bound):
         print(_format_set(s))
     return 0
 
@@ -233,9 +221,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        config = _config(ns)
-        af = _load(config)
-        code = _COMMANDS[ns.command](ns, af, config)
+        bound = _bound()
+        af = _load(ns)
+        code = _COMMANDS[ns.command](ns, af, bound)
         sys.stdout.flush()
         return code
     except OSError as exc:

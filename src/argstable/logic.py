@@ -320,8 +320,8 @@ def _cnf(program: Program) -> NumberedTheory:
 
 class _CnfSolver:
     """The one solver, over integer clauses on the numbered `atoms`, built by
-    `NumberedTheory.solver` from a theory's rules and by `_minimal_models`
-    for each part of one.
+    `NumberedTheory.solver` from a theory's rules, by `_minimal_models` for
+    each part of one and by `_stable_models` for its theory with copies.
     Conflict-driven clause learning after MiniSat (Eén & Sörensson, "An
     Extensible SAT-solver", SAT 2003), with two watched literals per clause
     (Moskewicz et al., "Chaff", DAC 2001).
@@ -722,8 +722,8 @@ def _stable_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
     renamed = [(head, tuple([(copy[v], 1) if neg else (v, 0) for v, neg in body]))
                for head, body in theory.clauses]
     # a copy is named by its number, which no atom name, a string, equals;
-    # the copies meet no bound of their own, as the candidates met it
-    solver = NumberedTheory(theory.atoms + list(copy.values()), renamed).solver(bound + len(copy))
+    # the candidates met the bound, and the copies meet none of their own
+    solver = _CnfSolver(theory.atoms + list(copy.values()), _rule_clauses(renamed))
     found = []
     for candidate in candidates:
         expected = candidate | {copy[v] for v in negated if theory.atoms[v - 1] in candidate}

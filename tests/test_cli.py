@@ -93,7 +93,7 @@ class TestSolve:
 
     def test_cross_check_disagreement(self, run, monkeypatch):
         monkeypatch.setitem(
-            cli._ENGINES, "gamma", lambda af, bound: SolveReport("gamma", (), {})
+            cli._ENGINES, "gamma", lambda af, **_: SolveReport("gamma", (), {})
         )
         code, out, err = run(["solve", "--cross-check"], text=KNOT_APX)
         assert code == 4
@@ -344,6 +344,58 @@ class TestErrors:
         code, _, err = run(["frobnicate"])
         assert code == 1
         assert "argstable: error:" in err
+
+
+def unattacked_apx(n):
+    return "".join(f"arg(a{i}).\n" for i in range(n))
+
+
+class TestBounds:
+    """Each command hands ARGSTABLE_BOUND to the library when it is set, and
+    otherwise the library's own default: 20 arguments for the oracle's
+    subsets, 24 atoms for a solver."""
+
+    @pytest.fixture(autouse=True)
+    def no_override(self, monkeypatch):
+        monkeypatch.delenv("ARGSTABLE_BOUND", raising=False)
+
+    # each command on the chain, with what its first exhaustive call refuses
+    OVERRIDDEN = [
+        (["solve", "--engine", "alpha"], "program signature has 3 atoms"),
+        (["solve", "--engine", "gamma"], "program signature has 3 atoms"),
+        (["solve", "--engine", "lambda"], "program signature has 6 atoms"),
+        (["solve", "--engine", "oracle"], "framework has 3 arguments"),
+        (["solve", "--cross-check"], "program signature has 3 atoms"),
+        (["check", "a", "c"], "program signature has 3 atoms"),
+        (["query", "--brave", "a"], "program signature has 3 atoms"),
+        (["query", "--cautious", "a"], "program signature has 3 atoms"),
+        (["admissible"], "framework has 3 arguments"),
+    ]
+
+    @pytest.mark.parametrize("argv, what", OVERRIDDEN,
+                             ids=[" ".join(argv) for argv, _ in OVERRIDDEN])
+    def test_override_reaches_every_command(self, run, argv, what):
+        code, out, err = run(argv, text=CHAIN_APX, env={"ARGSTABLE_BOUND": "2"})
+        assert (code, out) == (2, "")
+        assert err == f"argstable: error: {what}, exceeding the bound of 2\n"
+
+    @pytest.mark.parametrize("argv", [["admissible"], ["solve", "--engine", "oracle"]],
+                             ids=" ".join)
+    def test_subset_default(self, run, argv):
+        code, out, err = run(argv, text=unattacked_apx(21))
+        assert (code, out) == (2, "")
+        assert err == (
+            "argstable: error: framework has 21 arguments, exceeding the bound of 20\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["solve"], ["check", "a0"], ["query", "--brave", "a0"]],
+                             ids=" ".join)
+    def test_model_default(self, run, argv):
+        code, out, err = run(argv, text=unattacked_apx(25))
+        assert (code, out) == (2, "")
+        assert err == (
+            "argstable: error: program signature has 25 atoms, exceeding the bound of 24\n"
+        )
 
 
 class TestClosedOutput:

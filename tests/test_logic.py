@@ -64,11 +64,22 @@ class TestLiteral:
         assert Literal("a", 2).positive
         assert not Literal("a", 1).positive
 
+    @pytest.mark.parametrize("atom", ["", 1, None])
+    def test_atom_must_be_a_nonempty_string(self, atom):
+        with pytest.raises(ValueError, match="invalid atom"):
+            Literal(atom)
+
 
 class TestClause:
     def test_needs_a_literal(self):
         with pytest.raises(ValueError):
             Clause()
+
+    def test_literals_are_literals_or_atom_names(self):
+        with pytest.raises(TypeError, match="expected Literal or atom name, got 1"):
+            Clause(head=(1,))
+        with pytest.raises(TypeError, match="got None"):
+            Clause(head=("a",), body=(None,))
 
     def test_str_forms(self):
         assert str(clause(["a"])) == "a."
@@ -114,6 +125,10 @@ class TestProgram:
     def test_to_asp_sorted(self):
         p = Program.of([clause(["b"]), clause(["a"])])
         assert p.to_asp() == "a.\nb.\n"
+
+    def test_str_is_the_asp_text(self):
+        p = Program.of([clause(["b"], [Literal("a", 1)]), clause((), ["a"])])
+        assert str(p) == p.to_asp() == ":- a.\nb :- not a.\n"
 
 
 # atoms that are prefixes of one another, so that string order and tuple
@@ -166,6 +181,10 @@ class TestEvaluate:
     def test_interpretation_outside_signature(self):
         with pytest.raises(ValueError):
             is_model(Program.of([clause(["a"])]), {"z"})
+
+    def test_clause_outside_signature(self):
+        with pytest.raises(ValueError, match=r"clause atoms outside the signature: \['z'\]"):
+            evaluate(frozenset(), clause(["a"], ["z"]), signature={"a"})
 
 
 class TestModels:
@@ -298,6 +317,10 @@ class TestReduct:
         with pytest.raises(ValueError):
             gl_reduct(p, frozenset())
 
+    def test_set_outside_signature(self):
+        with pytest.raises(ValueError, match=r"reduct set atoms outside the signature: \['z'\]"):
+            gl_reduct(FOUR_RULE_PROGRAM, {"b", "z"})
+
     def test_result_is_negation_free(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -319,6 +342,11 @@ class TestStableModels:
     def test_fact_and_constraint(self):
         p = Program.of([clause(["a"]), clause((), ["a"])])
         assert stable_models(p) == []
+
+    def test_requires_general_program(self):
+        p = Program.of([clause(["a"], [Literal("b", 2)])])
+        with pytest.raises(ValueError, match="stable models require a general program"):
+            stable_models(p)
 
     def test_against_brute_force(self):
         rng = random.Random(23)
