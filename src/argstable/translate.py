@@ -1,26 +1,28 @@
 """Compile a framework into propositional theories over defeat atoms.
 
-Each argument x gets a defeat atom d(x).  The builders here produce, per
-attack (b, a), clauses saying that a is defeated unless b is, and that a is
-defeated once all of b's attackers are.  Depending on the builder that comes
-out as a theory with default negation (`alpha`), a theory over the argument
-atoms themselves (`beta`), or a negation-free disjunctive program (`gamma`);
-`lambda_` adds acceptance rules so stable models carry the extension itself,
-and `stable_fragment` keeps only `alpha`'s negative half.  Each is defined
-once, as integer rules (`alpha_rules`, `beta_rules`, `gamma_rules`,
-`lambda_rules`, `stable_fragment_rules`), a `NumberedTheory` in canonical
-order.  The engines hand the rules to the solver, `argstable translate`
-emits them as ASP or DIMACS text, and the public builders turn them into a
-`Program`; no builder constructs a `Clause` itself.
+Each argument x gets a defeat atom d(x).  One builder, `_defeat_rules`,
+reads the attacks: per attack (b, a) it gives a rule saying that a is
+defeated unless b is, `d(a) :- not d(b)` in `alpha` or `d(a) v d(b)` in
+`gamma`, and the defender rule saying that a is defeated once all of b's
+attackers are.  The other three theories are read off those two, as the
+paper relates them: `beta` is `alpha` with head and body swapped, over the
+argument atoms themselves; `lambda_` is `gamma` plus an acceptance rule
+`x :- not d(x)` per argument, so stable models carry the extension itself;
+and `stable_fragment` keeps only `alpha`'s negative half.  Each is a
+`NumberedTheory` in canonical order (`alpha_rules`, `beta_rules`,
+`gamma_rules`, `lambda_rules`, `stable_fragment_rules`).  The engines hand
+the rules to the solver, `argstable translate` emits them as ASP or DIMACS
+text, and the public builders turn them into a `Program`; no builder
+constructs a `Clause` itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable
 
-from .errors import UnknownArgumentError
 from .framework import ArgumentationFramework
-from .logic import AtomMap, NumberedTheory, Program, Rule
+from .logic import AtomMap, NumberedTheory, Program
 
 
 def defeat_atom(name: str) -> str:
@@ -31,27 +33,20 @@ def defeat_map(af: ArgumentationFramework) -> AtomMap:
     return AtomMap(forward={x: defeat_atom(x) for x in af.arguments})
 
 
-def _defeat_atoms(names: list[str]) -> list[str]:
-    """The defeat atoms of the sorted argument `names`, atom number i naming
-    the i-th, as in the integer rules of `alpha` and `gamma`.  A name sorts
-    as its defeat atom does: `)` sorts below every character a name can
-    hold."""
-    return [defeat_atom(x) for x in names]
+def _defeat_rules(af: ArgumentationFramework, disjunctive: bool) -> NumberedTheory:
+    """The one reader of the attacks.  Atom i is the defeat atom of the i-th
+    argument in sorted order; a name sorts as its defeat atom does, since
+    `)` sorts below every character a name can hold.  Per attack (b, a): the
+    attack rule, `d(a) :- not d(b)`, or `d(a) v d(b)` with its head sorted
+    if `disjunctive`; and the defender rule `d(a) :- d(c1), ..., d(ck)`
+    where the c are the attackers of b, an empty body if there are none.
 
-
-def _numbered(af: ArgumentationFramework):
-    """The arguments in sorted order, numbered from 1 by their place in it;
-    the attacks as (target, source) number pairs in sorted order; and, by
-    number, each argument's attackers as positive literals in sorted order
-    and as the flat key of those literals.  Numbers sort as the names do,
-    and as their defeat atoms, so rules over them sort into the canonical
-    `Clause` order.
-
-    A rule's flat key lists 2v + neg for each head literal (v, neg), then a
-    0, then the same for each body literal.  Atom numbers start at 1 and
-    every negation depth here is 0 or 1, so each literal's entry is at least
-    2 and keeps the literal's place in the order: flat keys sort as the
-    rules do, and only equal rules share one."""
+    Each rule is stored under its flat key: 2v + neg for each head literal
+    (v, neg), then a 0, then the same for each body literal.  Atom numbers
+    start at 1 and every negation depth here is 0 or 1, so each literal's
+    entry is at least 2 and keeps the literal's place in the order: flat
+    keys sort as the rules do, and only equal rules share one.  So the keys
+    deduplicate the rules, and one sort of them gives canonical order."""
     names = sorted(af.arguments)
     number = dict(zip(names, range(1, len(names) + 1)))
     attacks = sorted([(number[t], number[s]) for s, t in af.attacks])
@@ -60,23 +55,6 @@ def _numbered(af: ArgumentationFramework):
         attackers[a].append(b)
     literals = [tuple([(c, 0) for c in cs]) for cs in attackers]
     keys = [tuple([2 * c for c in cs]) for cs in attackers]
-    return names, attacks, literals, keys
-
-
-def _canonical(keyed: dict[tuple[int, ...], Rule]) -> list[Rule]:
-    """The rules of `keyed`, each under its flat key, in canonical order."""
-    return [keyed[k] for k in sorted(keyed)]
-
-
-def _defeat_rules(af: ArgumentationFramework, disjunctive: bool) -> NumberedTheory:
-    """Over the atom numbers of the defeat atoms, per attack (b, a): the
-    attack rule, `d(a) :- not d(b)`, or `d(a) v d(b)` with its head sorted
-    if `disjunctive`; and the defender rule `d(a) :- d(c1), ..., d(ck)`
-    where the c are the attackers of b, an empty body if there are none.
-    One pass over the numbered attacks keys each rule by its flat key, which
-    deduplicates them, and one sort of the keys puts them in canonical
-    order."""
-    names, attacks, literals, keys = _numbered(af)
     rules = {(2 * a, 0, *keys[b]): (((a, 0),), literals[b]) for a, b in attacks}
     if not disjunctive:
         rules.update({(2 * a, 0, 2 * b + 1): (((a, 0),), ((b, 1),)) for a, b in attacks})
@@ -87,7 +65,7 @@ def _defeat_rules(af: ArgumentationFramework, disjunctive: bool) -> NumberedTheo
             else:
                 low, high = (a, b) if a < b else (b, a)
                 rules[2 * low, 2 * high, 0] = (((low, 0), (high, 0)), ())
-    return NumberedTheory(_defeat_atoms(names), _canonical(rules))
+    return NumberedTheory([defeat_atom(x) for x in names], [rules[k] for k in sorted(rules)])
 
 
 def alpha_rules(af: ArgumentationFramework) -> NumberedTheory:
@@ -107,12 +85,11 @@ def alpha(af: ArgumentationFramework) -> Program:
 
 def beta_rules(af: ArgumentationFramework) -> NumberedTheory:
     """`beta` as integer rules over the arguments, numbered in sorted order:
-    per attack (b, a), `not b :- a` and `c1 v ... v ck :- a`."""
-    names, attacks, literals, keys = _numbered(af)
-    rules = {(*keys[b], 0, 2 * a): (literals[b], ((a, 0),)) for a, b in attacks}
-    for a, b in attacks:
-        rules[2 * b + 1, 0, 2 * a] = (((b, 1),), ((a, 0),))
-    return NumberedTheory(names, _canonical(rules))
+    per attack (b, a), `not b :- a` and `c1 v ... v ck :- a`.  They are
+    `alpha`'s rules with head and body swapped, the inverse of
+    `normalize` after `g_transform`, sorted once."""
+    return NumberedTheory(sorted(af.arguments),
+                          sorted([(body, head) for head, body in alpha_rules(af).clauses]))
 
 
 def beta(af: ArgumentationFramework) -> Program:
@@ -141,18 +118,20 @@ def gamma(af: ArgumentationFramework) -> Program:
 
 
 def lambda_rules(af: ArgumentationFramework) -> NumberedTheory:
-    """`lambda_` as integer rules: `gamma`'s, renumbered over the argument and
-    defeat atoms sorted together, plus `x :- not d(x)` per argument x.
-    Numbers sort as the atoms they name, so the sorted rules are in canonical
-    `Clause` order."""
+    """`lambda_` as integer rules: `gamma`'s, over the argument and defeat
+    atoms sorted together, plus `x :- not d(x)` per argument x.  A name
+    matches `[A-Za-z][A-Za-z0-9_]*` and `(` sorts below every character it
+    can hold, so the defeat atoms sort, in one block, after the k names up
+    to `d` and before the rest.  `gamma`'s atom numbers shift by k, and
+    the acceptance rules of the first k arguments, whose heads are atoms 1
+    to k, come before `gamma`'s rules and the others after them."""
     base = gamma_rules(af)
-    atoms = sorted(base.atoms + list(af.arguments))
-    index = {a: i for i, a in enumerate(atoms, 1)}
-    new = {v: index[a] for v, a in enumerate(base.atoms, 1)}
-    rules = [(tuple([(new[v], n) for v, n in head]), tuple([(new[v], n) for v, n in body]))
-             for head, body in base.clauses]
-    rules += [(((index[x], 0),), ((index[defeat_atom(x)], 1),)) for x in af.arguments]
-    return NumberedTheory(atoms, sorted(rules))
+    names = sorted(af.arguments)
+    k, n = bisect_right(names, "d"), len(names)
+    shifted = [(tuple([(v + k, neg) for v, neg in head]), tuple([(v + k, neg) for v, neg in body]))
+               for head, body in base.clauses]
+    accept = [(((i if i <= k else i + n, 0),), ((k + i, 1),)) for i in range(1, n + 1)]
+    return NumberedTheory(names[:k] + base.atoms + names[k:], accept[:k] + shifted + accept[k:])
 
 
 def lambda_(af: ArgumentationFramework) -> Program:
@@ -163,10 +142,11 @@ def lambda_(af: ArgumentationFramework) -> Program:
 
 def stable_fragment_rules(af: ArgumentationFramework) -> NumberedTheory:
     """`stable_fragment` as integer rules: `alpha`'s rule `d(a) :- not d(b)`
-    per attack (b, a), without the defender rules.  The attacks, distinct
-    and sorted as (a, b) number pairs, give the rules in canonical order."""
-    names, attacks, _, _ = _numbered(af)
-    return NumberedTheory(_defeat_atoms(names), [(((a, 0),), ((b, 1),)) for a, b in attacks])
+    per attack (b, a), without the defender rules: the rules of `alpha`
+    whose body is one negated atom, kept in its order."""
+    atoms, rules = alpha_rules(af)
+    return NumberedTheory(atoms, [(head, body) for head, body in rules
+                                  if len(body) == 1 and body[0][1]])
 
 
 def stable_fragment(af: ArgumentationFramework) -> Program:
@@ -177,11 +157,7 @@ def stable_fragment(af: ArgumentationFramework) -> Program:
 
 def compl(af: ArgumentationFramework, s: Iterable[str]) -> frozenset[str]:
     """Defeat atoms of the arguments outside s."""
-    members = frozenset(s)
-    stray = members - af.arguments
-    if stray:
-        raise UnknownArgumentError(f"unknown arguments: {sorted(stray)}")
-    return frozenset(defeat_atom(x) for x in af.arguments - members)
+    return frozenset(defeat_atom(x) for x in af.arguments - af._subset(s))
 
 
 def decode(af: ArgumentationFramework, m: Iterable[str]) -> frozenset[str]:

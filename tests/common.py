@@ -11,6 +11,8 @@ from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
+import hypothesis.strategies as st
+
 import argstable
 from argstable import ArgumentationFramework, Clause, Literal, Program, gl_reduct, models
 from argstable.logic import _CnfSolver
@@ -25,6 +27,14 @@ KNOT = ArgumentationFramework(
 SELF_ATTACK = ArgumentationFramework({"a"}, {("a", "a")})
 EMPTY = ArgumentationFramework(frozenset(), frozenset())
 NO_ATTACKS = ArgumentationFramework({"a", "b"}, frozenset())
+# `lambda_` sorts argument and defeat atoms together, and every `d(x)` sorts
+# after the names up to `d` and before the rest.  Names all below `d(`, all
+# above it, and on both sides of it: `d` next to `d0` and `d_`, attacking itself.
+NAMES_BELOW_D = ArgumentationFramework({"A", "c", "d"}, {("A", "c"), ("c", "A"), ("c", "d")})
+NAMES_ABOVE_D = ArgumentationFramework({"dA", "e", "z"}, {("dA", "e"), ("e", "z"), ("z", "dA")})
+NAMES_AROUND_D = ArgumentationFramework(
+    {"d", "d0", "d_"}, {("d", "d"), ("d", "d0"), ("d0", "d_"), ("d_", "d0")}
+)
 
 CHAIN_ALPHA = frozenset({
     Clause(head=("d(b)",), body=(Literal("d(a)", 1),)),
@@ -90,6 +100,29 @@ def run_argstable(argv, *flags, spawn=subprocess.run, **kwargs):
     src = str(Path(argstable.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return spawn([sys.executable, *flags, "-m", "argstable", *argv], env=env, **kwargs)
+
+
+_NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
+
+
+@st.composite
+def defeat_frameworks(draw):
+    """Names of mixed case, digits and `_`; self-attacks; mutual attacks,
+    which collapse `gamma`'s disjunctions; and two arguments with equal
+    attacker sets attacking one target, which gives it a defender rule
+    twice."""
+    names = draw(st.lists(_NAME, max_size=8, unique=True))
+    if not names:
+        return ArgumentationFramework(frozenset(), frozenset())
+    pick = st.sampled_from(names)
+    attacks = set(draw(st.lists(st.tuples(pick, pick), max_size=14)))
+    attacks |= {(x, x) for x in draw(st.lists(pick, max_size=2))}
+    for x, y in draw(st.lists(st.tuples(pick, pick), max_size=2)):
+        attacks |= {(x, y), (y, x)}
+    for x, y, target in draw(st.lists(st.tuples(pick, pick, pick), max_size=2)):
+        attacks = {(s, t) for s, t in attacks if t != y}
+        attacks |= {(s, y) for s, t in attacks if t == x} | {(x, target), (y, target)}
+    return ArgumentationFramework(frozenset(names), frozenset(attacks))
 
 
 def random_framework(rng, max_args=7, density=(0.1, 0.9)):

@@ -46,11 +46,15 @@ from tests.common import (
     KNOT,
     KNOT_GAMMA_STABLE,
     KNOT_LAMBDA_STABLE,
+    NAMES_ABOVE_D,
+    NAMES_AROUND_D,
+    NAMES_BELOW_D,
     NO_ATTACKS,
     SELF_ATTACK,
     attack_chain,
     count_searches,
     count_solver_builds,
+    defeat_frameworks,
     knot_copies,
     mutual_attacks,
     odd_cycles,
@@ -474,29 +478,6 @@ def test_long_chain_has_its_one_extension():
 # `_cnf(gamma(af))` and `_cnf(lambda_(af))` exactly, order included, so that
 # the searches find the same set of models, and so every witness, that the
 # `Program` would give.
-_NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)
-
-
-@st.composite
-def defeat_frameworks(draw):
-    """Names of mixed case, digits and `_`; self-attacks; mutual attacks,
-    which collapse `gamma`'s disjunctions; and two arguments with equal
-    attacker sets attacking one target, which gives it a defender rule
-    twice."""
-    names = draw(st.lists(_NAME, max_size=8, unique=True))
-    if not names:
-        return ArgumentationFramework(frozenset(), frozenset())
-    pick = st.sampled_from(names)
-    attacks = set(draw(st.lists(st.tuples(pick, pick), max_size=14)))
-    attacks |= {(x, x) for x in draw(st.lists(pick, max_size=2))}
-    for x, y in draw(st.lists(st.tuples(pick, pick), max_size=2)):
-        attacks |= {(x, y), (y, x)}
-    for x, y, target in draw(st.lists(st.tuples(pick, pick, pick), max_size=2)):
-        attacks = {(s, t) for s, t in attacks if t != y}
-        attacks |= {(s, y) for s, t in attacks if t == x} | {(x, target), (y, target)}
-    return ArgumentationFramework(frozenset(names), frozenset(attacks))
-
-
 def _by_clause(af, attack_clause):
     """A defeat theory built clause by clause: per attack (b, a),
     `attack_clause(d(a), d(b))` and the defender rule."""
@@ -531,6 +512,10 @@ def _solver_inputs(engine, af):
     frozenset({("D", "dA"), ("dA", "d"), ("d", "c"), ("c", "e"), ("e", "e"), ("c", "D")}),
 ))
 @example(mutual_attacks(3))
+@example(NAMES_BELOW_D)
+@example(NAMES_ABOVE_D)
+@example(NAMES_AROUND_D)
+@example(EMPTY)
 @given(defeat_frameworks())
 def test_engines_hand_the_solver_the_cnf_image(af):
     by_clause = {

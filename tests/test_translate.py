@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from argstable import (
@@ -24,16 +24,24 @@ from argstable import (
     stable_fragment,
     stable_models,
 )
+from argstable.logic import _rule_clauses
+from argstable.translate import alpha_rules, beta_rules, gamma_rules
 from tests.common import (
     CHAIN_ALPHA,
     CHAIN_BETA,
+    EMPTY,
     KNOT_GAMMA,
     CHAIN,
     KNOT,
     KNOT_GAMMA_STABLE,
     KNOT_LAMBDA_STABLE,
+    NAMES_ABOVE_D,
+    NAMES_AROUND_D,
+    NAMES_BELOW_D,
     NO_ATTACKS,
     SELF_ATTACK,
+    defeat_frameworks,
+    mutual_attacks,
     random_framework,
 )
 
@@ -193,6 +201,10 @@ def test_translation_sizes(af):
 
 
 @settings(deadline=None, max_examples=60)
+@example(NAMES_BELOW_D)
+@example(NAMES_ABOVE_D)
+@example(NAMES_AROUND_D)
+@example(EMPTY)
 @given(frameworks())
 def test_beta_and_stable_fragment_clause_by_clause(af):
     # the definitions, one `Clause` per attack (b, a) and rule
@@ -203,6 +215,23 @@ def test_beta_and_stable_fragment_clause_by_clause(af):
         fragment.add(Clause((defeat_atom(a),), (Literal(defeat_atom(b), 1),)))
     assert beta(af) == (beta_clauses, af.arguments)
     assert stable_fragment(af) == (fragment, {defeat_atom(x) for x in af.arguments})
+
+
+# `d(a) :- not d(b)` and `d(a) v d(b)` give one clause, and so does `beta`'s
+# `not b :- a` with every literal negated: the three encodings are one CNF.
+# `alpha` keeps that clause once per direction of a mutual attack, so the
+# clauses compare as sets.
+@settings(deadline=None, max_examples=200)
+@example(mutual_attacks(2))
+@example(SELF_ATTACK)
+@given(defeat_frameworks())
+def test_alpha_gamma_and_mirrored_beta_are_one_cnf(af):
+    def clause_set(theory, sign=1):
+        return {frozenset(sign * lit for lit in c) for c in _rule_clauses(theory.clauses)}
+
+    a, b, g = alpha_rules(af), beta_rules(af), gamma_rules(af)
+    assert a.atoms == g.atoms == [defeat_atom(x) for x in b.atoms]
+    assert clause_set(a) == clause_set(g) == clause_set(b, -1)
 
 
 def test_beta_to_alpha_on_random_frameworks():
