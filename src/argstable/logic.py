@@ -302,7 +302,7 @@ class NumberedTheory(NamedTuple):
         return "".join(lines)
 
     def solver(self, bound: int, cnf: list[list[int]] | None = None) -> _CnfSolver:
-        """The one solver entry for a theory: the bound policy on the atoms,
+        """The solver for a whole theory: the bound policy on the atoms,
         then a solver over `cnf`, the integer clause of each rule, which a
         caller that has built it already passes in."""
         check_bound(len(self.atoms), bound, "program signature")
