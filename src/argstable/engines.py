@@ -47,7 +47,7 @@ class SolveReport(_SolveReportFields):
 
 class PreferredCheck(NamedTuple):
     holds: bool
-    counter_model: Interpretation | None  # minimal in the certificate, the first the solver finds
+    counter_model: Interpretation | None  # the lexicographically least model of the certificate
     failure: str | None  # "not-a-model" or "satisfiable" when holds is False
 
 
@@ -108,7 +108,8 @@ def check_preferred_unsat(
     and the theory plus the denial of every member plus the negated complement
     conjunction must be unsatisfiable.  One solve decides it: the model it
     finds under the denials is minimal inside the complement image, and on
-    failure it is the counter-model, a minimal model of the certificate."""
+    failure it is the counter-model, the lexicographically least model of
+    the certificate, over the defeat atoms in sorted argument order."""
     complement = compl(af, members)
     theory = alpha(af)
     cnf = _rule_clauses(theory.clauses)

@@ -15,6 +15,7 @@ its clauses.  Exhaustive operations refuse signatures beyond `bound`.
 
 from __future__ import annotations
 
+import operator
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -36,6 +37,7 @@ class Literal(_LiteralFields):
     def __new__(cls, atom: str, neg: int = 0):
         if not isinstance(atom, str) or not atom:
             raise ValueError(f"invalid atom: {atom!r}")
+        neg = operator.index(neg)  # an integer, `True` as 1; a float raises TypeError
         if neg < 0:
             raise ValueError("negation depth must be non-negative")
         return tuple.__new__(cls, (atom, neg))
@@ -217,11 +219,10 @@ def models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpret
     """
     atoms = sorted(program.signature)
     check_bound(len(atoms), bound, "program signature")
-    clauses = program.sorted_clauses()
     found = []
     for bits in range(1 << len(atoms)):
         interp = frozenset(a for i, a in enumerate(atoms) if bits >> i & 1)
-        if all(evaluate(interp, c) for c in clauses):
+        if all(evaluate(interp, c) for c in program.clauses):
             found.append(interp)
     return canonical(found)
 
@@ -255,15 +256,17 @@ def _rule(clause: Clause, index: Mapping[str, int]) -> Rule:
 
 
 class NumberedTheory(NamedTuple):
-    """A theory as integer rules: atom number i names `atoms[i - 1]`, and
-    `clauses` holds the rules, deduplicated and in canonical `Clause` order,
-    so that `_cnf` of `program()` gives them back.  It is what every solver
-    is built from and what every text is emitted from: `_cnf` numbers a
-    user's `Program`, and `translate` builds its theories as rules outright,
-    so `argstable translate` never builds a `Clause`."""
+    """A theory as integer rules: atom number i names `atoms[i - 1]`, the
+    atoms sorted, and `clauses` is the set of rules, which `_cnf` of
+    `program()` gives back.  It is what every solver is built from and what
+    every text is emitted from: `_cnf` numbers a user's `Program`, and
+    `translate` builds its theories as rules outright, so `argstable
+    translate` never builds a `Clause`.  No answer depends on the order of
+    the rules (`_CnfSolver.solve`); only the emitters, whose text shows it,
+    sort them, and they sort as their `Clause`s do."""
 
     atoms: list[str]
-    clauses: list[Rule]
+    clauses: frozenset[Rule]
 
     def program(self) -> Program:
         """The `Program` of the rules, with one shared `Literal` per atom and
@@ -279,7 +282,7 @@ class NumberedTheory(NamedTuple):
         return Program(frozenset(clauses), frozenset(self.atoms))
 
     def to_asp(self) -> str:
-        """The ASP emitter: one rule per line, in order, as `str` of its
+        """The ASP emitter: one rule per line, sorted, as `str` of its
         `Clause` reads."""
         text = {
             pair: "not " * pair[1] + self.atoms[pair[0] - 1]
@@ -287,14 +290,14 @@ class NumberedTheory(NamedTuple):
         }
         return "".join(
             _clause_text([text[h] for h in head], [text[b] for b in body]) + "\n"
-            for head, body in self.clauses
+            for head, body in sorted(self.clauses)
         )
 
     def to_dimacs(self) -> str:
         """The DIMACS emitter: comment lines naming the variables, with `(`
         as `_` and `)` dropped, a `p cnf V C` header, then the integer clause
-        of each rule in order."""
-        cnf = _rule_clauses(self.clauses)
+        of each rule, sorted."""
+        cnf = _rule_clauses(sorted(self.clauses))
         lines = [f"c var {i} = {a.replace('(', '_').replace(')', '')}\n"
                  for i, a in enumerate(self.atoms, 1)]
         lines.append(f"p cnf {len(self.atoms)} {len(cnf)}\n")
@@ -312,10 +315,11 @@ class NumberedTheory(NamedTuple):
 def _cnf(program: Program) -> NumberedTheory:
     """The one place a user's program becomes rules, shared by the solver and
     the DIMACS export: the signature sorted and numbered from 1, then one rule
-    per clause in canonical order."""
+    per clause, added in sorted order: the program's set iterates as the
+    hash seed sets, and the rules' set, so the solver's work, should not."""
     atoms = sorted(program.signature)
     index = {a: i for i, a in enumerate(atoms, 1)}
-    return NumberedTheory(atoms, [_rule(clause, index) for clause in program.sorted_clauses()])
+    return NumberedTheory(atoms, frozenset([_rule(c, index) for c in program.sorted_clauses()]))
 
 
 class _CnfSolver:
@@ -371,9 +375,11 @@ class _CnfSolver:
     def solve(self, assume: Iterable[int] = ()) -> Interpretation | None:
         """A model of the clauses added so far and the assumed literals, or
         None if there is none.  Each decision sets the lowest unassigned
-        variable false, so no atom is left free.  If every assumption is
-        negative too, the model is minimal among those models, as
-        `minimal_models` explains."""
+        variable false, so no atom is left free, and the model is the
+        lexicographically least, whatever the clauses' order: x1 false if
+        some such model has it false, then x2, and so on (`minimal_models`'
+        argument, on the first variable where another model differs).  If
+        every assumption is negative, it is minimal among those models."""
         model = None if self.unsat else self._search(list(assume))
         self._backtrack(0)
         return model
@@ -393,7 +399,8 @@ class _CnfSolver:
         clause, the negation of its true atoms, keeps out it and every model
         above it, none of them minimal, and the search resumes from the trail
         instead of starting again (Toda & Soh, "Implementing efficient all
-        solutions SAT solvers", ACM JEA 2016)."""
+        solutions SAT solvers", ACM JEA 2016).  Each is the least, as in
+        `solve`, of those the block clauses let through: lexicographic order."""
         while not self.unsat:
             model = self._search([])
             if model is None:
@@ -630,7 +637,7 @@ def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[I
     negated, which the atoms outside M model exactly when M models it."""
     atoms, rules = _cnf(program)
     flip = lambda side: tuple([(v, neg + 1) for v, neg in side])
-    mirrored = NumberedTheory(atoms, [(flip(head), flip(body)) for head, body in rules])
+    mirrored = NumberedTheory(atoms, frozenset([(flip(head), flip(body)) for head, body in rules]))
     signature = frozenset(atoms)
     return canonical(signature - m for m in _minimal_models(mirrored, bound))
 
@@ -673,7 +680,7 @@ def gl_reduct(program: Program, s: Interpretation) -> Program:
     if stray:
         raise ValueError(f"reduct set atoms outside the signature: {sorted(stray)}")
     reduced: list[Clause] = []
-    for clause in program.sorted_clauses():
+    for clause in program.clauses:
         if any(b.neg == 1 and b.atom in s for b in clause.body):
             continue
         positive_body = tuple(b for b in clause.body if b.neg == 0)

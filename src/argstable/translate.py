@@ -9,11 +9,11 @@ paper relates them: `beta` is `alpha` with head and body swapped, over the
 argument atoms themselves; `lambda_` is `gamma` plus an acceptance rule
 `x :- not d(x)` per argument, so stable models carry the extension itself;
 and `stable_fragment` keeps only `alpha`'s negative half.  Each is a
-`NumberedTheory` in canonical order (`alpha_rules`, `beta_rules`,
-`gamma_rules`, `lambda_rules`, `stable_fragment_rules`).  The engines hand
-the rules to the solver, `argstable translate` emits them as ASP or DIMACS
-text, and the public builders turn them into a `Program`; no builder
-constructs a `Clause` itself.
+`NumberedTheory`, sorted atoms and a set of rules (`alpha_rules`,
+`beta_rules`, `gamma_rules`, `lambda_rules`, `stable_fragment_rules`).  The
+engines hand the rules to the solver, `argstable translate` emits them as
+ASP or DIMACS text, and the public builders turn them into a `Program`; no
+builder constructs a `Clause` itself.
 """
 
 from __future__ import annotations
@@ -40,13 +40,9 @@ def _defeat_rules(af: ArgumentationFramework, disjunctive: bool) -> NumberedTheo
     attack rule, `d(a) :- not d(b)`, or `d(a) v d(b)` with its head sorted
     if `disjunctive`; and the defender rule `d(a) :- d(c1), ..., d(ck)`
     where the c are the attackers of b, an empty body if there are none.
-
-    Each rule is stored under its flat key: 2v + neg for each head literal
-    (v, neg), then a 0, then the same for each body literal.  Atom numbers
-    start at 1 and every negation depth here is 0 or 1, so each literal's
-    entry is at least 2 and keeps the literal's place in the order: flat
-    keys sort as the rules do, and only equal rules share one.  So the keys
-    deduplicate the rules, and one sort of them gives canonical order."""
+    The attacks are sorted as number pairs: that puts each body in order,
+    and adds the rules in one order whatever the hash seed, so the rules'
+    set, and so the solver's work, is the same in every process."""
     names = sorted(af.arguments)
     number = dict(zip(names, range(1, len(names) + 1)))
     attacks = sorted([(number[t], number[s]) for s, t in af.attacks])
@@ -54,18 +50,13 @@ def _defeat_rules(af: ArgumentationFramework, disjunctive: bool) -> NumberedTheo
     for a, b in attacks:
         attackers[a].append(b)
     literals = [tuple([(c, 0) for c in cs]) for cs in attackers]
-    keys = [tuple([2 * c for c in cs]) for cs in attackers]
-    rules = {(2 * a, 0, *keys[b]): (((a, 0),), literals[b]) for a, b in attacks}
+    rules = [(((a, 0),), literals[b]) for a, b in attacks]
     if not disjunctive:
-        rules.update({(2 * a, 0, 2 * b + 1): (((a, 0),), ((b, 1),)) for a, b in attacks})
+        rules += [(((a, 0),), ((b, 1),)) for a, b in attacks]
     else:
-        for a, b in attacks:
-            if a == b:
-                rules[2 * a, 0] = (((a, 0),), ())
-            else:
-                low, high = (a, b) if a < b else (b, a)
-                rules[2 * low, 2 * high, 0] = (((low, 0), (high, 0)), ())
-    return NumberedTheory([defeat_atom(x) for x in names], [rules[k] for k in sorted(rules)])
+        rules += [(((a, 0),) if a == b else ((min(a, b), 0), (max(a, b), 0)), ())
+                  for a, b in attacks]
+    return NumberedTheory([defeat_atom(x) for x in names], frozenset(rules))
 
 
 def alpha_rules(af: ArgumentationFramework) -> NumberedTheory:
@@ -87,9 +78,9 @@ def beta_rules(af: ArgumentationFramework) -> NumberedTheory:
     """`beta` as integer rules over the arguments, numbered in sorted order:
     per attack (b, a), `not b :- a` and `c1 v ... v ck :- a`.  They are
     `alpha`'s rules with head and body swapped, the inverse of
-    `normalize` after `g_transform`, sorted once."""
+    `normalize` after `g_transform`."""
     return NumberedTheory(sorted(af.arguments),
-                          sorted([(body, head) for head, body in alpha_rules(af).clauses]))
+                          frozenset([(body, head) for head, body in alpha_rules(af).clauses]))
 
 
 def beta(af: ArgumentationFramework) -> Program:
@@ -122,16 +113,14 @@ def lambda_rules(af: ArgumentationFramework) -> NumberedTheory:
     atoms sorted together, plus `x :- not d(x)` per argument x.  A name
     matches `[A-Za-z][A-Za-z0-9_]*` and `(` sorts below every character it
     can hold, so the defeat atoms sort, in one block, after the k names up
-    to `d` and before the rest.  `gamma`'s atom numbers shift by k, and
-    the acceptance rules of the first k arguments, whose heads are atoms 1
-    to k, come before `gamma`'s rules and the others after them."""
+    to `d` and before the rest: `gamma`'s atom numbers shift by k."""
     base = gamma_rules(af)
     names = sorted(af.arguments)
     k, n = bisect_right(names, "d"), len(names)
     shifted = [(tuple([(v + k, neg) for v, neg in head]), tuple([(v + k, neg) for v, neg in body]))
                for head, body in base.clauses]
     accept = [(((i if i <= k else i + n, 0),), ((k + i, 1),)) for i in range(1, n + 1)]
-    return NumberedTheory(names[:k] + base.atoms + names[k:], accept[:k] + shifted + accept[k:])
+    return NumberedTheory(names[:k] + base.atoms + names[k:], frozenset(shifted + accept))
 
 
 def lambda_(af: ArgumentationFramework) -> Program:
@@ -143,10 +132,10 @@ def lambda_(af: ArgumentationFramework) -> Program:
 def stable_fragment_rules(af: ArgumentationFramework) -> NumberedTheory:
     """`stable_fragment` as integer rules: `alpha`'s rule `d(a) :- not d(b)`
     per attack (b, a), without the defender rules: the rules of `alpha`
-    whose body is one negated atom, kept in its order."""
+    whose body is one negated atom."""
     atoms, rules = alpha_rules(af)
-    return NumberedTheory(atoms, [(head, body) for head, body in rules
-                                  if len(body) == 1 and body[0][1]])
+    return NumberedTheory(atoms, frozenset([(head, body) for head, body in rules
+                                            if len(body) == 1 and body[0][1]]))
 
 
 def stable_fragment(af: ArgumentationFramework) -> Program:

@@ -90,16 +90,21 @@ FOUR_RULE_REDUCT = frozenset({
 })
 
 
-def run_argstable(argv, *flags, spawn=subprocess.run, **kwargs):
-    """`python FLAGS -m argstable ARGV` through `spawn` (`subprocess.run` or
-    `subprocess.Popen`, which take `kwargs`), in an environment that imports
-    the package these tests import and leaves standard output buffered
-    unless FLAGS hold `-u`."""
+def package_env(**extra):
+    """The environment of a child `python` that imports the package these
+    tests import and leaves standard output buffered, plus `extra`."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     src = str(Path(argstable.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return spawn([sys.executable, *flags, "-m", "argstable", *argv], env=env, **kwargs)
+    return env | extra
+
+
+def run_argstable(argv, *flags, spawn=subprocess.run, **kwargs):
+    """`python FLAGS -m argstable ARGV` through `spawn` (`subprocess.run` or
+    `subprocess.Popen`, which take `kwargs`), in `package_env()`, so standard
+    output stays buffered unless FLAGS hold `-u`."""
+    return spawn([sys.executable, *flags, "-m", "argstable", *argv], env=package_env(), **kwargs)
 
 
 _NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True)

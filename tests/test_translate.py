@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +45,8 @@ from tests.common import (
     SELF_ATTACK,
     defeat_frameworks,
     mutual_attacks,
+    package_env,
+    random_attacks,
     random_framework,
 )
 
@@ -240,3 +245,35 @@ def test_beta_to_alpha_on_random_frameworks():
         af = random_framework(rng, max_args=6)
         mapped = g_transform(beta(af), defeat_map(af))
         assert normalize(mapped).clauses == alpha(af).clauses
+
+
+# The integer clauses each solver gets, in its order, for every `translate`
+# target and for `_cnf` of `alpha`, one line per framework read from the APX
+# texts on standard input.
+_SOLVER_CLAUSES = """
+import json, sys
+from argstable import alpha, parse_apx
+from argstable.cli import _TARGETS
+from argstable.logic import _cnf, _rule_clauses
+for text in json.load(sys.stdin):
+    af = parse_apx(text)
+    theories = [build(af) for build in _TARGETS.values()] + [_cnf(alpha(af))]
+    print([_rule_clauses(theory.clauses) for theory in theories])
+"""
+
+
+# The rules are a set, and the attacks and a `Program`'s clauses are sets
+# of strings, whose order the hash seed sets.  The sorts of the attack pairs
+# in `_defeat_rules` and of the clauses in `_cnf` fix the order the rules
+# are added in, so that two runs of one commit make the same solver work.
+def test_solver_clause_order_is_the_same_under_every_hash_seed():
+    texts = json.dumps([af.to_apx() for af in (KNOT, mutual_attacks(6), random_attacks(30, 0.1, 1))])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _SOLVER_CLAUSES], input=texts, env=package_env(PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 3
