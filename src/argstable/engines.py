@@ -8,20 +8,22 @@ from .errors import UnknownArgumentError
 from .framework import ArgumentationFramework
 from .logic import (
     DEFAULT_MODEL_BOUND,
+    Cnf,
     Interpretation,
-    NumberedTheory,
-    _rule_clauses,
+    _solver,
     canonical,
     is_minimal_model_by_consequence,
 )
-from .translate import compl
+from .translate import alpha_rules, compl
 
-# The engines and the UNSAT checker work on the theories as integer rules;
-# the consequence checker, as the reference, on the `Program` of `alpha`'s.
-# The benchmark's tracer (perfbench) times translation and search at the
-# names `alpha`, `gamma`, `lambda_`, `minimal_models` and `stable_models`.
+# The alpha and gamma engines, `query` and the UNSAT checker solve the one
+# defeat CNF, built straight from the attacks; the lambda engine works on
+# `lambda_`'s integer rules, and the consequence checker, as the reference,
+# on the `Program` of `alpha`'s.  The benchmark's tracer (perfbench) times
+# translation and search at the names `alpha`, `gamma`, `lambda_`,
+# `minimal_models` and `stable_models`.
 from .logic import _minimal_models as minimal_models, _stable_models as stable_models
-from .translate import alpha_rules as alpha, gamma_rules as gamma, lambda_rules as lambda_
+from .translate import defeat_cnf as alpha, defeat_cnf as gamma, lambda_rules as lambda_
 
 Extension = frozenset[str]
 
@@ -64,9 +66,9 @@ def _report(engine: str, pairs) -> SolveReport:
 
 
 def _defeat_report(
-    engine: str, af: ArgumentationFramework, theory: NumberedTheory, bound: int
+    engine: str, af: ArgumentationFramework, theory: Cnf, bound: int
 ) -> SolveReport:
-    """The extensions of the minimal models of a defeat theory, each the
+    """The extensions of the minimal models of the defeat CNF, each the
     arguments whose defeat atom the model leaves out: atom number i is d(x)
     for the i-th argument x in sorted order, so one mapping decodes them
     all."""
@@ -112,14 +114,13 @@ def check_preferred_unsat(
     the certificate, over the defeat atoms in sorted argument order."""
     complement = compl(af, members)
     theory = alpha(af)
-    cnf = _rule_clauses(theory.clauses)
     # the complement image as integer literals: a member's defeat atom false
     image = {v if a in complement else -v for v, a in enumerate(theory.atoms, 1)}
-    if any(image.isdisjoint(c) for c in cnf):
+    if any(image.isdisjoint(c) for c in theory.clauses):
         return PreferredCheck(False, None, "not-a-model")
     # an empty conjunction negates to falsum: unsatisfiable with no solve or bound
     denials = [-v for v, a in enumerate(theory.atoms, 1) if a not in complement]
-    found = complement and theory.solver(bound, cnf).solve(denials)
+    found = complement and _solver(theory, bound).solve(denials)
     if found == complement:
         return PreferredCheck(True, None, None)
     return PreferredCheck(False, found, "satisfiable")
@@ -134,7 +135,7 @@ def check_preferred_consequence(
     theory, and the theory plus the denial of every member entails each
     complement atom.  The members' defeat atoms are the atoms outside the
     complement image, so this is `is_minimal_model_by_consequence`."""
-    theory = alpha(af).program()
+    theory = alpha_rules(af).program()
     return is_minimal_model_by_consequence(theory, compl(af, members), bound=bound)
 
 

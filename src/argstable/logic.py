@@ -258,12 +258,14 @@ def _rule(clause: Clause, index: Mapping[str, int]) -> Rule:
 class NumberedTheory(NamedTuple):
     """A theory as integer rules: atom number i names `atoms[i - 1]`, the
     atoms sorted, and `clauses` is the set of rules, which `_cnf` of
-    `program()` gives back.  It is what every solver is built from and what
-    every text is emitted from: `_cnf` numbers a user's `Program`, and
-    `translate` builds its theories as rules outright, so `argstable
-    translate` never builds a `Clause`.  No answer depends on the order of
-    the rules (`_CnfSolver.solve`); only the emitters, whose text shows it,
-    sort them, and they sort as their `Clause`s do."""
+    `program()` gives back.  It is what every text is emitted from, and what
+    every solver is built from but the engines' `translate.defeat_cnf`:
+    `_cnf` numbers a user's `Program`, and `translate` builds its theories
+    as rules outright, so `argstable translate` never builds a `Clause`.
+    `to_cnf` is the one step from rules to a solver's integer clauses.  No
+    answer depends on the order of the rules (`_CnfSolver.solve`); only the
+    emitters, whose text shows it, sort them, and they sort as their
+    `Clause`s do."""
 
     atoms: list[str]
     clauses: frozenset[Rule]
@@ -304,12 +306,30 @@ class NumberedTheory(NamedTuple):
         lines += [" ".join(map(str, c)) + " 0\n" for c in cnf]
         return "".join(lines)
 
-    def solver(self, bound: int, cnf: list[list[int]] | None = None) -> _CnfSolver:
-        """The solver for a whole theory: the bound policy on the atoms,
-        then a solver over `cnf`, the integer clause of each rule, which a
-        caller that has built it already passes in."""
-        check_bound(len(self.atoms), bound, "program signature")
-        return _CnfSolver(self.atoms, _rule_clauses(self.clauses) if cnf is None else cnf)
+    def to_cnf(self) -> Cnf:
+        """The integer clause of each rule, over the same atoms."""
+        return Cnf(self.atoms, _rule_clauses(self.clauses))
+
+    def solver(self, bound: int) -> _CnfSolver:
+        """The solver for the whole theory, under the bound policy."""
+        return _solver(self.to_cnf(), bound)
+
+
+class Cnf(NamedTuple):
+    """A theory as integer clauses, the form every solver is built from:
+    variable i names `atoms[i - 1]`, and a clause is a list of nonzero
+    literals, -i for the negation of i.  A solver reorders the literals of
+    the lists it is given, so each `Cnf` serves one solver."""
+
+    atoms: list[str]
+    clauses: list[list[int]]
+
+
+def _solver(cnf: Cnf, bound: int) -> _CnfSolver:
+    """The solver for a whole theory: the bound policy on its atoms, then a
+    solver over its clauses."""
+    check_bound(len(cnf.atoms), bound, "program signature")
+    return _CnfSolver(*cnf)
 
 
 def _cnf(program: Program) -> NumberedTheory:
@@ -324,8 +344,8 @@ def _cnf(program: Program) -> NumberedTheory:
 
 class _CnfSolver:
     """The one solver, over integer clauses on the numbered `atoms`, built by
-    `NumberedTheory.solver` from a theory's rules, by `_minimal_models` for
-    each part of one and by `_stable_models` for its theory with copies.
+    `_solver` from a whole theory's `Cnf`, by `_minimal_models` for each part
+    of one and by `_stable_models` for its theory with copies.
     Conflict-driven clause learning after MiniSat (Eén & Sörensson, "An
     Extensible SAT-solver", SAT 2003), with two watched literals per clause
     (Moskewicz et al., "Chaff", DAC 2001).
@@ -562,11 +582,11 @@ class _CnfSolver:
 
 def minimal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
     """Subset-minimal models over the signature, in canonical order."""
-    return canonical(_minimal_models(_cnf(program), bound))
+    return canonical(_minimal_models(_cnf(program).to_cnf(), bound))
 
 
-def _minimal_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
-    """The minimal models of a theory given as integer rules, unsorted.
+def _minimal_models(theory: Cnf, bound: int) -> list[Interpretation]:
+    """The minimal models of a theory given as integer clauses, unsorted.
 
     They are the unions of one minimal model per part (`_parts`), with every
     atom in no clause false.  One search keeps every block clause, so a large
@@ -574,14 +594,15 @@ def _minimal_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
     literal occurrences of the integer clauses and a solver per part.  So the
     whole search runs first, rent or buy, and splits once its models times
     the atoms exceed the literal occurrences.  A theory with few models never
-    splits: on the benchmark's seed-1 cycles, 600 of `enumerate`'s 780 solve
-    operations split, and none of `search`'s or `decide`'s."""
-    cnf = _rule_clauses(theory.clauses)
-    search = theory.solver(bound, cnf).minimal_models()
-    split = sum(map(len, cnf)) // (len(theory.atoms) or 1) + 1
+    splits: on the benchmark's seed-1 cycles, recounted on the engines' one
+    defeat CNF, 600 of `enumerate`'s 780 solve operations split, and none of
+    `search`'s 720 or of `decide`'s 520 queries."""
+    atoms, cnf = theory
+    split = sum(map(len, cnf)) // (len(atoms) or 1) + 1
+    search = _solver(theory, bound).minimal_models()
     found = list(islice(search, split))
     if len(found) == split:
-        parts = _parts(theory.atoms, cnf)
+        parts = _parts(atoms, cnf)
         if len(parts) > 1:
             product = [frozenset()]
             for atoms, clauses in parts:
@@ -633,11 +654,10 @@ def _parts(atoms: list[str], cnf: list[list[int]]) -> list[tuple[list[str], list
 
 def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
     """Subset-maximal models over the signature, in canonical order: the
-    complements of the minimal models of the theory with every literal
-    negated, which the atoms outside M model exactly when M models it."""
-    atoms, rules = _cnf(program)
-    flip = lambda side: tuple([(v, neg + 1) for v, neg in side])
-    mirrored = NumberedTheory(atoms, frozenset([(flip(head), flip(body)) for head, body in rules]))
+    complements of the minimal models of the clauses with every literal
+    negated, which the atoms outside M model exactly when M models them."""
+    atoms, cnf = _cnf(program).to_cnf()
+    mirrored = Cnf(atoms, [[-lit for lit in clause] for clause in cnf])
     signature = frozenset(atoms)
     return canonical(signature - m for m in _minimal_models(mirrored, bound))
 
@@ -721,7 +741,7 @@ def _stable_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
     those within M (Castell et al. 1996, as in `_CnfSolver.minimal_models`).
     M models P^M, as each clause P^M keeps had its `not b` true under M, so M
     is stable exactly when that model, its copies aside, is M."""
-    candidates = _minimal_models(theory, bound)
+    candidates = _minimal_models(theory.to_cnf(), bound)
     negated = sorted({v for _, body in theory.clauses for v, neg in body if neg})
     if not negated:
         return candidates

@@ -1,7 +1,8 @@
 """Compile a framework into propositional theories over defeat atoms.
 
-Each argument x gets a defeat atom d(x).  One builder, `_defeat_rules`,
-reads the attacks: per attack (b, a) it gives a rule saying that a is
+Each argument x gets a defeat atom d(x).  One reader, `_read_attacks`,
+numbers the atoms and sorts the attacks for the two builders that read
+them.  `_defeat_rules` gives, per attack (b, a), a rule saying that a is
 defeated unless b is, `d(a) :- not d(b)` in `alpha` or `d(a) v d(b)` in
 `gamma`, and the defender rule saying that a is defeated once all of b's
 attackers are.  The other three theories are read off those two, as the
@@ -10,10 +11,13 @@ argument atoms themselves; `lambda_` is `gamma` plus an acceptance rule
 `x :- not d(x)` per argument, so stable models carry the extension itself;
 and `stable_fragment` keeps only `alpha`'s negative half.  Each is a
 `NumberedTheory`, sorted atoms and a set of rules (`alpha_rules`,
-`beta_rules`, `gamma_rules`, `lambda_rules`, `stable_fragment_rules`).  The
-engines hand the rules to the solver, `argstable translate` emits them as
-ASP or DIMACS text, and the public builders turn them into a `Program`; no
-builder constructs a `Clause` itself.
+`beta_rules`, `gamma_rules`, `lambda_rules`, `stable_fragment_rules`).
+`argstable translate` emits them as ASP or DIMACS text, the lambda engine
+solves `lambda_rules`, and the public builders turn them into a `Program`;
+no builder constructs a `Clause` itself.  `alpha` and `gamma` compile to one
+clause set, which `defeat_cnf` builds as integer clauses straight from the
+attacks, with no rule on the way: the alpha and gamma engines, `query` and
+the UNSAT checker solve it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from bisect import bisect_right
 from typing import Iterable
 
 from .framework import ArgumentationFramework
-from .logic import AtomMap, NumberedTheory, Program
+from .logic import AtomMap, Cnf, NumberedTheory, Program
 
 
 def defeat_atom(name: str) -> str:
@@ -33,30 +37,55 @@ def defeat_map(af: ArgumentationFramework) -> AtomMap:
     return AtomMap(forward={x: defeat_atom(x) for x in af.arguments})
 
 
-def _defeat_rules(af: ArgumentationFramework, disjunctive: bool) -> NumberedTheory:
-    """The one reader of the attacks.  Atom i is the defeat atom of the i-th
-    argument in sorted order; a name sorts as its defeat atom does, since
-    `)` sorts below every character a name can hold.  Per attack (b, a): the
-    attack rule, `d(a) :- not d(b)`, or `d(a) v d(b)` with its head sorted
-    if `disjunctive`; and the defender rule `d(a) :- d(c1), ..., d(ck)`
-    where the c are the attackers of b, an empty body if there are none.
-    The attacks are sorted as number pairs: that puts each body in order,
-    and adds the rules in one order whatever the hash seed, so the rules'
-    set, and so the solver's work, is the same in every process."""
+def _read_attacks(af: ArgumentationFramework):
+    """The one reader of the attacks: the defeat atoms, atom i that of the
+    i-th argument in sorted order, which is their own sorted order, since
+    `)` sorts below every character a name can hold; each attack (b, a) as
+    the number pair (a, b), the pairs sorted; and, per argument, its
+    attackers' numbers negated, in increasing order of attacker, the tail of
+    the defender clause of every attack the argument makes.  The sort puts
+    every body in order, and lets each builder add its rules or clauses in
+    one order whatever the hash seed, so the solver's work is the same in
+    every process."""
     names = sorted(af.arguments)
     number = dict(zip(names, range(1, len(names) + 1)))
     attacks = sorted([(number[t], number[s]) for s, t in af.attacks])
-    attackers: list[list[int]] = [[] for _ in range(len(names) + 1)]
+    denials: list[list[int]] = [[] for _ in range(len(names) + 1)]
     for a, b in attacks:
-        attackers[a].append(b)
-    literals = [tuple([(c, 0) for c in cs]) for cs in attackers]
+        denials[a].append(-b)
+    return [defeat_atom(x) for x in names], attacks, denials
+
+
+def _defeat_rules(af: ArgumentationFramework, disjunctive: bool) -> NumberedTheory:
+    """Per attack (b, a): the attack rule, `d(a) :- not d(b)`, or
+    `d(a) v d(b)` with its head sorted if `disjunctive`; and the defender
+    rule `d(a) :- d(c1), ..., d(ck)` where the c are the attackers of b, an
+    empty body if there are none."""
+    atoms, attacks, denials = _read_attacks(af)
+    literals = [tuple([(-c, 0) for c in cs]) for cs in denials]
     rules = [(((a, 0),), literals[b]) for a, b in attacks]
     if not disjunctive:
         rules += [(((a, 0),), ((b, 1),)) for a, b in attacks]
     else:
         rules += [(((a, 0),) if a == b else ((min(a, b), 0), (max(a, b), 0)), ())
                   for a, b in attacks]
-    return NumberedTheory([defeat_atom(x) for x in names], frozenset(rules))
+    return NumberedTheory(atoms, frozenset(rules))
+
+
+def defeat_cnf(af: ArgumentationFramework) -> Cnf:
+    """The one clause set of `alpha` and `gamma`, straight from the attacks,
+    the form the engines solve.  Per attack (b, a): the defender clause
+    `[a, -c1, ..., -ck]`, where the c attack b, and the attack clause
+    `[min(a, b), max(a, b)]`, or `[a]` for a self-attack.  Each distinct
+    clause is kept once, in the order of the sorted attack pairs.  As a
+    multiset it is `gamma_rules`' integer image; `alpha_rules` gives the same
+    set, with `[a, b]` once per direction of a mutual attack."""
+    atoms, attacks, denials = _read_attacks(af)
+    clauses = {}
+    for a, b in attacks:
+        clauses[(a, *denials[b])] = None
+        clauses[(a,) if a == b else (a, b) if a < b else (b, a)] = None
+    return Cnf(atoms, [list(c) for c in clauses])
 
 
 def alpha_rules(af: ArgumentationFramework) -> NumberedTheory:

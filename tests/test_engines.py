@@ -39,7 +39,7 @@ from argstable import (
 )
 from argstable import cli, engines, logic
 from argstable.logic import _CnfSolver, _cnf, _rule_clauses, canonical
-from argstable.translate import alpha, alpha_rules, defeat_atom, gamma, gamma_rules
+from argstable.translate import alpha, defeat_atom, defeat_cnf, gamma
 from tests.common import (
     EMPTY,
     CHAIN,
@@ -394,20 +394,20 @@ def test_lambda_checks_every_candidate_on_one_solver(monkeypatch):
     assert found == expected
 
 
-def _split_point(theory):
+def _split_point(cnf):
     """The models the whole search finds before it splits: the first m with
     m times the atoms past the literal occurrences of the integer clauses."""
-    literals = sum(map(len, _rule_clauses(theory.clauses)))
-    return literals // len(theory.atoms) + 1
+    return sum(map(len, cnf.clauses)) // len(cnf.atoms) + 1
 
 
 # The scaling gate of the part-by-part enumeration, with no wall clock: the
-# searches count the work.  `gamma(mutual_attacks(k))` has 2^k minimal models
-# over 2k atoms and 6k literal occurrences, in k parts of two: the whole
-# search stops at its fourth model, and each part then takes at most three
-# searches, where one search per extension would take 2^k.  k copies of the
-# knot have 2^k minimal models over 5k atoms and 23k (gamma) or 25k (alpha)
-# literal occurrences: two copies stay on one solver, three and four split.
+# searches count the work.  The defeat CNF of `mutual_attacks(k)` has 2^k
+# minimal models over 2k atoms and 6k literal occurrences, in k parts of two:
+# the whole search stops at its fourth model, and each part then takes at
+# most three searches, where one search per extension would take 2^k.  k
+# copies of the knot have 2^k minimal models over 5k atoms and 23k literal
+# occurrences, under alpha and gamma alike: two copies stay on one solver,
+# three and four split at the fifth model.
 # `sink(k)` is connected, so its one solver still takes one search per
 # extension.
 def test_disjoint_parts_are_enumerated_part_by_part(monkeypatch):
@@ -423,22 +423,23 @@ def test_disjoint_parts_are_enumerated_part_by_part(monkeypatch):
         af = mutual_attacks(k)
         assert list(preferred_via_gamma(af).extensions) == canonical(choices(k))
         per_solver = collections.Counter(map(id, searches))
-        assert per_solver[id(built[0])] == _split_point(gamma_rules(af)) == 4
+        assert per_solver[id(built[0])] == _split_point(defeat_cnf(af)) == 4
         assert len(built) == 1 + k
         assert all(per_solver[id(part)] <= 3 for part in built[1:])
     for k in (2, 3, 4):
         af = knot_copies(k)
         sides = [({f"a{i}"}, {f"b{i}", f"d{i}"}) for i in range(k)]
         expected = canonical(frozenset().union(*pick) for pick in itertools.product(*sides))
-        for engine, rules in ((preferred_via_alpha, alpha_rules), (preferred_via_gamma, gamma_rules)):
+        assert _split_point(defeat_cnf(af)) == 5
+        for engine in (preferred_via_alpha, preferred_via_gamma):
             del built[:], searches[:]
             assert list(engine(af).extensions) == expected
             per_solver = collections.Counter(map(id, searches))
-            split = 2 ** k >= _split_point(rules(af))
+            split = 2 ** k >= _split_point(defeat_cnf(af))
             assert split == (k > 2)
             assert len(built) == (1 + k if split else 1)
             whole = per_solver[id(built[0])]
-            assert whole == _split_point(rules(af)) if split else whole <= 2 ** k + 1
+            assert whole == 5 if split else whole <= 2 ** k + 1
     for k in range(8, 11):
         del built[:], searches[:]
         all_b = frozenset(f"b{i}" for i in range(k))
@@ -474,11 +475,12 @@ def test_long_chain_has_its_one_extension():
 
 # The alpha, gamma and lambda engines compile a framework straight to solver
 # clauses, with no `Clause` or `Program` on the way.  What they hand the
-# (candidate) solver must be the clauses of `_cnf(alpha(af))`,
-# `_cnf(gamma(af))` and `_cnf(lambda_(af))`, over the same atoms, so that the
-# searches find the same models, and so every witness, that the `Program`
-# would give.  The rules are a set, so the clause lists compare sorted, each
-# clause with its literals in their order.
+# (candidate) solver must be the clauses of `_cnf(gamma(af))`, for the alpha
+# and gamma engines alike, and of `_cnf(lambda_(af))`, over the same atoms, so
+# that the searches find the same models, and so every witness, that the
+# `Program` would give.  `alpha(af)` is one clause set with `gamma(af)`, and
+# gamma's image holds each clause once.  The rules are a set, so the clause
+# lists compare sorted, each clause with its literals in their order.
 def _by_clause(af, attack_clause):
     """A defeat theory built clause by clause: per attack (b, a),
     `attack_clause(d(a), d(b))` and the defender rule."""
@@ -527,11 +529,11 @@ def test_engines_hand_the_solver_the_cnf_image(af):
     by_clause[lambda_] = Program(
         by_clause[gamma].clauses | acceptance, by_clause[gamma].signature | af.arguments
     )
-    engines = ((preferred_via_alpha, alpha), (preferred_via_gamma, gamma), (preferred_via_lambda, lambda_))
-    for engine, build in engines:
-        program = build(af)
-        assert program == by_clause[build]
-        theory = _cnf(program)
+    engines = ((preferred_via_alpha, alpha, gamma), (preferred_via_gamma, gamma, gamma),
+               (preferred_via_lambda, lambda_, lambda_))
+    for engine, build, solved in engines:
+        assert build(af) == by_clause[build]
+        theory = _cnf(by_clause[solved])
         image = _rule_clauses(theory.clauses)
         (atoms, cnf), *others = _solver_inputs(engine, af)
         assert (atoms, sorted(cnf)) == (theory.atoms, sorted(image))
@@ -618,7 +620,8 @@ def test_engines_build_no_clause(monkeypatch, capsys):
 # perfbench's tracer times translation and search by wrapping these names in
 # `engines`; an engine that reaches one by another route would run untimed,
 # and only the benchmark's self-tests would notice.  The engines decode their
-# models by atom number, not through `translate.decode`.
+# models by atom number, not through `translate.decode`.  The consequence
+# checker, the reference, builds `alpha_rules(af).program()` and reaches none.
 _TRACED = ("alpha", "gamma", "lambda_", "minimal_models", "stable_models")
 
 
@@ -635,7 +638,7 @@ def _counted(calls, name, fn):
     (lambda: preferred_via_lambda(KNOT), {"lambda_", "stable_models"}),
     (lambda: query(KNOT, "a", "brave"), {"gamma", "minimal_models"}),
     (lambda: check_preferred_unsat(KNOT, {"a"}), {"alpha"}),
-    (lambda: check_preferred_consequence(KNOT, {"a"}), {"alpha"}),
+    (lambda: check_preferred_consequence(KNOT, {"a"}), set()),
 ], ids=["alpha", "gamma", "lambda", "query", "check_unsat", "check_consequence"])
 def test_engines_reach_the_traced_names(monkeypatch, run, reached):
     calls = collections.Counter()

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 import subprocess
 import sys
 
@@ -28,7 +29,7 @@ from argstable import (
     stable_models,
 )
 from argstable.logic import _rule_clauses
-from argstable.translate import alpha_rules, beta_rules, gamma_rules
+from argstable.translate import alpha_rules, beta_rules, defeat_cnf, gamma_rules
 from tests.common import (
     CHAIN_ALPHA,
     CHAIN_BETA,
@@ -225,8 +226,15 @@ def test_beta_and_stable_fragment_clause_by_clause(af):
 # `d(a) :- not d(b)` and `d(a) v d(b)` give one clause, and so does `beta`'s
 # `not b :- a` with every literal negated: the three encodings are one CNF.
 # `alpha` keeps that clause once per direction of a mutual attack, so the
-# clauses compare as sets.
+# clauses compare as sets.  `defeat_cnf`, which the engines solve, builds that
+# CNF straight from the attacks: each clause once, each literal once in it,
+# and clause for clause, literal order included, gamma's integer image.  The
+# examples make one clause twice: `[a]` as the self-attack's clause and as the
+# defender clause of an unattacked attacker; one defender clause for two
+# attackers with the same attackers; and `[a0, b0]` once per direction.
 @settings(deadline=None, max_examples=200)
+@example(ArgumentationFramework({"a", "u"}, {("a", "a"), ("u", "a")}))
+@example(ArgumentationFramework({"a", "b", "c", "e"}, {("c", "b"), ("c", "e"), ("b", "a"), ("e", "a")}))
 @example(mutual_attacks(2))
 @example(SELF_ATTACK)
 @given(defeat_frameworks())
@@ -237,6 +245,12 @@ def test_alpha_gamma_and_mirrored_beta_are_one_cnf(af):
     a, b, g = alpha_rules(af), beta_rules(af), gamma_rules(af)
     assert a.atoms == g.atoms == [defeat_atom(x) for x in b.atoms]
     assert clause_set(a) == clause_set(g) == clause_set(b, -1)
+    cnf = defeat_cnf(af)
+    clauses = [tuple(c) for c in cnf.clauses]
+    assert cnf.atoms == g.atoms
+    assert len(set(clauses)) == len(clauses)
+    assert all(len(set(c)) == len(c) for c in clauses)
+    assert Counter(clauses) == Counter(map(tuple, _rule_clauses(g.clauses)))
 
 
 def test_beta_to_alpha_on_random_frameworks():
@@ -248,24 +262,26 @@ def test_beta_to_alpha_on_random_frameworks():
 
 
 # The integer clauses each solver gets, in its order, for every `translate`
-# target and for `_cnf` of `alpha`, one line per framework read from the APX
-# texts on standard input.
+# target, for `_cnf` of `alpha` and for the engines' `defeat_cnf`, one line
+# per framework read from the APX texts on standard input.
 _SOLVER_CLAUSES = """
 import json, sys
 from argstable import alpha, parse_apx
 from argstable.cli import _TARGETS
 from argstable.logic import _cnf, _rule_clauses
+from argstable.translate import defeat_cnf
 for text in json.load(sys.stdin):
     af = parse_apx(text)
     theories = [build(af) for build in _TARGETS.values()] + [_cnf(alpha(af))]
-    print([_rule_clauses(theory.clauses) for theory in theories])
+    print([_rule_clauses(theory.clauses) for theory in theories] + [defeat_cnf(af).clauses])
 """
 
 
 # The rules are a set, and the attacks and a `Program`'s clauses are sets
 # of strings, whose order the hash seed sets.  The sorts of the attack pairs
-# in `_defeat_rules` and of the clauses in `_cnf` fix the order the rules
-# are added in, so that two runs of one commit make the same solver work.
+# in `_read_attacks` and of the clauses in `_cnf` fix the order the rules,
+# and `defeat_cnf`'s clauses, are added in, so that two runs of one commit
+# make the same solver work.
 def test_solver_clause_order_is_the_same_under_every_hash_seed():
     texts = json.dumps([af.to_apx() for af in (KNOT, mutual_attacks(6), random_attacks(30, 0.1, 1))])
     outputs = [
