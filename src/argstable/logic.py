@@ -262,10 +262,10 @@ class NumberedTheory(NamedTuple):
     every solver is built from but the engines' `translate.defeat_cnf`:
     `_cnf` numbers a user's `Program`, and `translate` builds its theories
     as rules outright, so `argstable translate` never builds a `Clause`.
-    `to_cnf` is the one step from rules to a solver's integer clauses.  No
-    answer depends on the order of the rules (`_CnfSolver.solve`); only the
-    emitters, whose text shows it, sort them, and they sort as their
-    `Clause`s do."""
+    `to_cnf` is the one step from rules to a solver's integer clauses, and
+    it sorts them, as the emitters do: no answer depends on their order
+    (`_CnfSolver.solve`), but the solver's work does, and should not depend
+    on how the set was built."""
 
     atoms: list[str]
     clauses: frozenset[Rule]
@@ -297,9 +297,9 @@ class NumberedTheory(NamedTuple):
 
     def to_dimacs(self) -> str:
         """The DIMACS emitter: comment lines naming the variables, with `(`
-        as `_` and `)` dropped, a `p cnf V C` header, then the integer clause
-        of each rule, sorted."""
-        cnf = _rule_clauses(sorted(self.clauses))
+        as `_` and `)` dropped, a `p cnf V C` header, then `to_cnf`'s
+        clauses, one per line."""
+        cnf = self.to_cnf().clauses
         lines = [f"c var {i} = {a.replace('(', '_').replace(')', '')}\n"
                  for i, a in enumerate(self.atoms, 1)]
         lines.append(f"p cnf {len(self.atoms)} {len(cnf)}\n")
@@ -307,12 +307,8 @@ class NumberedTheory(NamedTuple):
         return "".join(lines)
 
     def to_cnf(self) -> Cnf:
-        """The integer clause of each rule, over the same atoms."""
-        return Cnf(self.atoms, _rule_clauses(self.clauses))
-
-    def solver(self, bound: int) -> _CnfSolver:
-        """The solver for the whole theory, under the bound policy."""
-        return _solver(self.to_cnf(), bound)
+        """The integer clauses of the rules, sorted, over the same atoms."""
+        return Cnf(self.atoms, _rule_clauses(sorted(self.clauses)))
 
 
 class Cnf(NamedTuple):
@@ -326,20 +322,20 @@ class Cnf(NamedTuple):
 
 
 def _solver(cnf: Cnf, bound: int) -> _CnfSolver:
-    """The solver for a whole theory: the bound policy on its atoms, then a
-    solver over its clauses."""
+    """The solver for a whole theory's `Cnf`, `defeat_cnf`'s or `to_cnf`'s:
+    the bound policy on its atoms, then a solver over its clauses."""
     check_bound(len(cnf.atoms), bound, "program signature")
     return _CnfSolver(*cnf)
 
 
 def _cnf(program: Program) -> NumberedTheory:
-    """The one place a user's program becomes rules, shared by the solver and
-    the DIMACS export: the signature sorted and numbered from 1, then one rule
-    per clause, added in sorted order: the program's set iterates as the
-    hash seed sets, and the rules' set, so the solver's work, should not."""
+    """The one place a user's program becomes rules, for the solvers,
+    `Program.to_asp()` and `export_dimacs`: the signature sorted and
+    numbered from 1, then one rule per clause.  The numbering keeps the
+    atoms' order, so the sorted rules are those of the sorted clauses."""
     atoms = sorted(program.signature)
     index = {a: i for i, a in enumerate(atoms, 1)}
-    return NumberedTheory(atoms, frozenset([_rule(c, index) for c in program.sorted_clauses()]))
+    return NumberedTheory(atoms, frozenset([_rule(c, index) for c in program.clauses]))
 
 
 class _CnfSolver:
@@ -663,7 +659,7 @@ def maximal_models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[I
 
 
 def is_unsatisfiable(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> bool:
-    return _cnf(program).solver(bound).solve() is None
+    return _solver(_cnf(program).to_cnf(), bound).solve() is None
 
 
 def entails(
@@ -681,7 +677,7 @@ def entails(
         if stray:
             raise ValueError(f"goal atoms outside the signature: {sorted(stray)}")
         if solver is None:
-            solver = _cnf(program).solver(bound)
+            solver = _solver(_cnf(program).to_cnf(), bound)
             index = {a: i for i, a in enumerate(solver.atoms, 1)}
         # not (H :- B) holds exactly when every literal of its clause fails
         (clause,) = _rule_clauses([_rule(goal, index)])
@@ -733,21 +729,22 @@ def _stable_models(theory: NumberedTheory, bound: int) -> list[Interpretation]:
     Candidates are the classical minimal models M of P: a smaller model of P
     would model P^M too.  A positive theory is its own reduct.  Otherwise
     one solver checks every candidate (guess and check: Koch, Leone &
-    Pfeifer, AIJ 2003).  It holds P with each `not b` reading a copy of b,
-    numbered after P's n atoms: the k-th negated atom's copy is n + k.
-    Copies assumed true for the negated atoms in M drop the clauses P^M
-    drops, the others assumed false strip `not b`, and every other atom
-    outside M assumed false leaves one solve for a model of P^M minimal among
-    those within M (Castell et al. 1996, as in `_CnfSolver.minimal_models`).
-    M models P^M, as each clause P^M keeps had its `not b` true under M, so M
-    is stable exactly when that model, its copies aside, is M."""
+    Pfeifer, AIJ 2003).  It holds P's rules, sorted as in `to_cnf`, with
+    each `not b` reading a copy of b, numbered after P's n atoms: the k-th
+    negated atom's copy is n + k.  Copies assumed true for the negated atoms
+    in M drop the clauses P^M drops, the others assumed false strip `not b`,
+    and every other atom outside M assumed false leaves one solve for a
+    model of P^M minimal among those within M (Castell et al. 1996, as in
+    `_CnfSolver.minimal_models`).  M models P^M, as each clause P^M keeps had
+    its `not b` true under M, so M is stable exactly when that model, its
+    copies aside, is M."""
     candidates = _minimal_models(theory.to_cnf(), bound)
     negated = sorted({v for _, body in theory.clauses for v, neg in body if neg})
     if not negated:
         return candidates
     copy = {v: k for k, v in enumerate(negated, len(theory.atoms) + 1)}
     renamed = [(head, tuple([(copy[v], 1) if neg else (v, 0) for v, neg in body]))
-               for head, body in theory.clauses]
+               for head, body in sorted(theory.clauses)]
     # a copy is named by its number, which no atom name, a string, equals;
     # the candidates met the bound, and the copies meet none of their own
     solver = _CnfSolver(theory.atoms + list(copy.values()), _rule_clauses(renamed))
@@ -765,16 +762,17 @@ def is_minimal_model_by_consequence(
     program: Program, m: Interpretation, bound: int = DEFAULT_MODEL_BOUND
 ) -> bool:
     """Minimality via entailment: m models p, and p plus the negation of every
-    atom outside m entails every atom of m."""
+    atom outside m entails every atom of m, each one asked of one solver over
+    p with the negations as assumptions."""
     interp = frozenset(m)
     if not is_model(program, interp):
         return False
-    denials = frozenset(
-        Clause(head=(Literal(a, 1),)) for a in program.signature - interp
-    )
-    strengthened = Program(program.clauses | denials, program.signature)
-    goal = [Clause(head=(Literal(a),)) for a in sorted(interp)]
-    return entails(strengthened, goal, bound=bound)
+    if not interp:  # an empty conjunction is entailed: no solver, no bound
+        return True
+    solver = _solver(_cnf(program).to_cnf(), bound)
+    numbered = list(enumerate(solver.atoms, 1))
+    denials = [-v for v, a in numbered if a not in interp]
+    return all(solver.solve(denials + [-v]) is None for v, a in numbered if a in interp)
 
 
 class _AtomMapFields(NamedTuple):

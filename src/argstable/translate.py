@@ -44,9 +44,8 @@ def _read_attacks(af: ArgumentationFramework):
     the number pair (a, b), the pairs sorted; and, per argument, its
     attackers' numbers negated, in increasing order of attacker, the tail of
     the defender clause of every attack the argument makes.  The sort puts
-    every body in order, and lets each builder add its rules or clauses in
-    one order whatever the hash seed, so the solver's work is the same in
-    every process."""
+    every body in order, and `defeat_cnf`'s clauses in one order whatever
+    the hash seed; a set of rules reaches a solver sorted by `to_cnf`."""
     names = sorted(af.arguments)
     number = dict(zip(names, range(1, len(names) + 1)))
     attacks = sorted([(number[t], number[s]) for s, t in af.attacks])

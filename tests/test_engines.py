@@ -604,7 +604,8 @@ def test_engines_build_no_clause(monkeypatch, capsys):
         for members in (extension, extension - {min(extension)}, af.arguments)
     ]
     assert verdicts == [None, "satisfiable", "not-a-model"]
-    # `check_preferred_consequence` builds `alpha(af).program()` on purpose:
+    # `check_preferred_consequence` builds `alpha_rules(af).program()`, not
+    # `alpha` (which names `defeat_cnf` in `engines`), on purpose:
     # it is the independent reference the UNSAT checker is tested against
     # (`TestConsequenceChecker.test_agrees_with_unsat_checker`)
     # `translate` emits every target straight from its integer rules

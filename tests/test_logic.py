@@ -26,7 +26,7 @@ from argstable import (
     normalize,
     stable_models,
 )
-from argstable.logic import _cnf, _rule_clauses
+from argstable.logic import _CnfSolver, _cnf, _rule, _rule_clauses, _solver
 from argstable.translate import alpha, beta, defeat_map, gamma
 from tests.common import (
     FOUR_RULE_PROGRAM,
@@ -176,6 +176,20 @@ def prefix_programs(draw):
 @given(prefix_programs())
 def test_sorted_clauses_keep_the_generated_order(p):
     assert p.sorted_clauses() == sorted(p.clauses)
+
+
+def test_cnf_encodes_the_rules_of_the_sorted_clauses():
+    """`_cnf` numbers the signature in sorted order, so the rules `to_cnf`
+    sorts are the rules of the program's sorted clauses, in that order: a
+    solver built from a `Program` gets its clauses in canonical order."""
+    rng = random.Random(24)
+    programs = [random_program(rng) for _ in range(150)]
+    # negation depth 2 in the bodies, 1 in the heads
+    programs += [g_transform(p, AtomMap({a: f"f({a})" for a in p.signature})) for p in programs]
+    for p in programs:
+        index = {a: i for i, a in enumerate(sorted(p.signature), 1)}
+        expected = _rule_clauses([_rule(c, index) for c in p.sorted_clauses()])
+        assert _cnf(p).to_cnf().clauses == expected
 
 
 class TestEvaluate:
@@ -370,6 +384,35 @@ class TestStableModels:
         for _ in range(30):
             p = random_program(rng, max_atoms=6, max_clauses=7)
             assert stable_models(p) == brute_stable(p)
+
+    def test_copy_solver_takes_the_rules_in_to_cnf_order(self, monkeypatch):
+        """The copy solver's clauses, each copy read back as the atom it
+        copies, are `to_cnf`'s, in its order."""
+        received = []
+        init = _CnfSolver.__init__
+
+        def recorded(solver, atoms, cnf):
+            received.append((atoms, [list(c) for c in cnf]))
+            init(solver, atoms, cnf)
+
+        monkeypatch.setattr(_CnfSolver, "__init__", recorded)
+        rng = random.Random(24)
+        for _ in range(60):
+            p = random_program(rng, max_atoms=6, max_clauses=7)
+            theory = _cnf(p)
+            received.clear()
+            stable_models(p)
+            n = len(theory.atoms)
+            negated = sorted({v for _, body in theory.clauses for v, neg in body if neg})
+            copied = {k: v for k, v in enumerate(negated, n + 1)}
+            copies = [cnf for atoms, cnf in received if len(atoms) > n]
+            assert len(copies) == bool(negated)
+            for cnf in copies:
+                read_back = [
+                    list(dict.fromkeys(copied.get(l, l) if l > 0 else l for l in clause))
+                    for clause in cnf
+                ]
+                assert read_back == theory.to_cnf().clauses
 
 
 _pool = st.sampled_from([f"p{i}" for i in range(7)])
@@ -625,6 +668,25 @@ class TestMinimalByConsequence:
             for m in models(p):
                 assert is_minimal_model_by_consequence(p, m) == (m in minima)
 
+    def test_empty_model_builds_no_solver(self):
+        p = Program.of([clause(["b"], ["a"])])
+        assert is_minimal_model_by_consequence(p, frozenset(), bound=0)
+
+    def test_bound_applies_to_a_non_empty_model(self):
+        p = Program.of([clause(["b"], ["a"])])
+        with pytest.raises(BoundExceededError) as raised:
+            is_minimal_model_by_consequence(p, {"b"}, bound=1)
+        assert str(raised.value) == "program signature has 2 atoms, exceeding the bound of 1"
+
+    def test_non_model_is_refused_before_the_bound(self):
+        p = Program.of([clause(["b"], ["a"])])
+        assert not is_minimal_model_by_consequence(p, {"a"}, bound=0)
+
+    def test_stray_atom_raises(self):
+        p = Program.of([clause(["b"], ["a"])])
+        with pytest.raises(ValueError, match="outside the signature"):
+            is_minimal_model_by_consequence(p, {"z"})
+
 
 class TestDimacs:
     def test_single_rule(self):
@@ -805,7 +867,7 @@ def test_incremental_solver_agrees_with_brute_force(session):
     theory = _cnf(program)
     assert theory.atoms == atoms
     index = {a: v for v, a in enumerate(atoms, 1)}
-    solver = theory.solver(bound=n)
+    solver = _solver(theory.to_cnf(), bound=n)
     for assume in steps:
         candidates = _brute_models(n, initial + [[l] for l in assume])
         model = solver.solve(assume)

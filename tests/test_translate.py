@@ -28,6 +28,7 @@ from argstable import (
     stable_fragment,
     stable_models,
 )
+from argstable.cli import _TARGETS
 from argstable.logic import _rule_clauses
 from argstable.translate import alpha_rules, beta_rules, defeat_cnf, gamma_rules
 from tests.common import (
@@ -261,27 +262,48 @@ def test_beta_to_alpha_on_random_frameworks():
         assert normalize(mapped).clauses == alpha(af).clauses
 
 
-# The integer clauses each solver gets, in its order, for every `translate`
-# target, for `_cnf` of `alpha` and for the engines' `defeat_cnf`, one line
-# per framework read from the APX texts on standard input.
+def test_to_cnf_encodes_the_rules_sorted():
+    rng = random.Random(24)
+    for _ in range(60):
+        af = random_framework(rng)
+        for build in _TARGETS.values():
+            theory = build(af)
+            assert theory.to_cnf().clauses == _rule_clauses(sorted(theory.clauses))
+
+
+# The integer clauses each solver gets, in its order: `to_cnf` of every
+# `translate` target and of `_cnf` of `alpha`, the engines' `defeat_cnf`,
+# and every clause list a `_CnfSolver` receives during `preferred_via_lambda`,
+# the copy solver of `stable_models` among them; one line per framework read
+# from the APX texts on standard input.
 _SOLVER_CLAUSES = """
 import json, sys
-from argstable import alpha, parse_apx
+from argstable import alpha, logic, parse_apx, preferred_via_lambda
 from argstable.cli import _TARGETS
-from argstable.logic import _cnf, _rule_clauses
+from argstable.logic import _cnf
 from argstable.translate import defeat_cnf
+received = []
+init = logic._CnfSolver.__init__
+def recorded(solver, atoms, cnf):
+    received.append([list(c) for c in cnf])
+    init(solver, atoms, cnf)
+logic._CnfSolver.__init__ = recorded
 for text in json.load(sys.stdin):
     af = parse_apx(text)
     theories = [build(af) for build in _TARGETS.values()] + [_cnf(alpha(af))]
-    print([_rule_clauses(theory.clauses) for theory in theories] + [defeat_cnf(af).clauses])
+    received.clear()
+    preferred_via_lambda(af, bound=100)
+    print([theory.to_cnf().clauses for theory in theories] + [defeat_cnf(af).clauses, received])
+    assert len(received) > 1  # the minimal-model search and the copy solver at least
 """
 
 
 # The rules are a set, and the attacks and a `Program`'s clauses are sets
-# of strings, whose order the hash seed sets.  The sorts of the attack pairs
-# in `_read_attacks` and of the clauses in `_cnf` fix the order the rules,
-# and `defeat_cnf`'s clauses, are added in, so that two runs of one commit
-# make the same solver work.
+# of strings, whose order the hash seed sets.  `to_cnf` encodes the rules
+# sorted, and `_stable_models` renames them for its copy solver in that
+# order; the sort of the attack pairs in `_read_attacks` fixes the order of
+# `defeat_cnf`'s clauses.  So two runs of one commit make the same solver
+# work.
 def test_solver_clause_order_is_the_same_under_every_hash_seed():
     texts = json.dumps([af.to_apx() for af in (KNOT, mutual_attacks(6), random_attacks(30, 0.1, 1))])
     outputs = [
