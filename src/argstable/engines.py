@@ -28,23 +28,14 @@ from .translate import defeat_cnf as alpha, defeat_cnf as gamma, lambda_rules as
 Extension = frozenset[str]
 
 
-class _SolveReportFields(NamedTuple):
+class SolveReport(NamedTuple):
+    """Extensions found by one engine, with the model that produced each.
+    `witnesses` is the mapping the report is given, neither copied nor
+    coerced."""
+
     engine: str
     extensions: tuple[Extension, ...]
     witnesses: Mapping[Extension, Interpretation]
-
-
-class SolveReport(_SolveReportFields):
-    """Extensions found by one engine, with the model that produced each."""
-
-    __slots__ = ()
-
-    def __new__(cls, engine: str, extensions: tuple[Extension, ...],
-                witnesses: Mapping[Extension, Interpretation]):
-        return tuple.__new__(cls, (engine, extensions, dict(witnesses)))
-
-    # `_replace` builds through `_make`, so it too copies the witnesses
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class PreferredCheck(NamedTuple):

@@ -133,9 +133,7 @@ class Program(_ProgramFields):
 
     def __new__(cls, clauses: Iterable[Clause], signature: Iterable[str]):
         self = tuple.__new__(cls, (frozenset(clauses), frozenset(signature)))
-        stray = self.occurring_atoms() - self.signature
-        if stray:
-            raise ValueError(f"clause atoms outside the signature: {sorted(stray)}")
+        _within(self.occurring_atoms(), self.signature, "clause atoms")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -149,12 +147,6 @@ class Program(_ProgramFields):
 
     def occurring_atoms(self) -> frozenset[str]:
         return frozenset(a for c in self.clauses for a in c.atoms())
-
-    def sorted_clauses(self) -> list[Clause]:
-        """The clauses in canonical order, the order of `Clause` tuples: by
-        head, then by body, literal by literal, each literal by atom and then
-        negation depth."""
-        return sorted(self.clauses)
 
     def is_general(self) -> bool:
         return all(c.is_general() for c in self.clauses)
@@ -183,9 +175,7 @@ def evaluate(
     """Clause truth under an interpretation: body all true and head all false
     is the only falsifying case."""
     if signature is not None:
-        stray = clause.atoms() - frozenset(signature)
-        if stray:
-            raise ValueError(f"clause atoms outside the signature: {sorted(stray)}")
+        _within(clause.atoms(), signature, "clause atoms")
     if not all(literal_value(b, interpretation) for b in clause.body):
         return True
     return any(literal_value(h, interpretation) for h in clause.head)
@@ -193,9 +183,7 @@ def evaluate(
 
 def is_model(program: Program, interpretation: Interpretation) -> bool:
     interp = frozenset(interpretation)
-    stray = interp - program.signature
-    if stray:
-        raise ValueError(f"interpretation atoms outside the signature: {sorted(stray)}")
+    _within(interp, program.signature, "interpretation atoms")
     return all(evaluate(interp, c) for c in program.clauses)
 
 
@@ -204,6 +192,14 @@ def check_bound(size: int, bound: int, what: str, unit: str = "atoms") -> None:
     beyond `bound` with `BoundExceededError`."""
     if size > bound:
         raise BoundExceededError(f"{what} has {size} {unit}, exceeding the bound of {bound}")
+
+
+def _within(atoms: Iterable[str], signature: Iterable[str], what: str) -> None:
+    """The one policy for atoms a caller passes in: refuse any outside the
+    signature with `ValueError`, naming them sorted."""
+    stray = frozenset(atoms).difference(signature)
+    if stray:
+        raise ValueError(f"{what} outside the signature: {sorted(stray)}")
 
 
 def canonical(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
@@ -272,7 +268,9 @@ class NumberedTheory(NamedTuple):
 
     def program(self) -> Program:
         """The `Program` of the rules, with one shared `Literal` per atom and
-        negation depth."""
+        negation depth.  It is built without `Program`'s signature check:
+        every atom it writes is `atoms[i - 1]`, and its signature is all of
+        `atoms`, so the check could find nothing."""
         literals = {
             pair: Literal(self.atoms[pair[0] - 1], pair[1])
             for pair in {pair for head, body in self.clauses for pair in head + body}
@@ -281,7 +279,7 @@ class NumberedTheory(NamedTuple):
             Clause(tuple([literals[h] for h in head]), tuple([literals[b] for b in body]))
             for head, body in self.clauses
         ]
-        return Program(frozenset(clauses), frozenset(self.atoms))
+        return tuple.__new__(Program, (frozenset(clauses), frozenset(self.atoms)))
 
     def to_asp(self) -> str:
         """The ASP emitter: one rule per line, sorted, as `str` of its
@@ -667,23 +665,22 @@ def entails(
     conjunction: Clause | Iterable[Clause],
     bound: int = DEFAULT_MODEL_BOUND,
 ) -> bool:
-    """Logical consequence of a conjunction of clauses: one solver over the
-    program, one UNSAT query per goal under the goal's negation, made as
-    assumptions, so what the solver learns on one goal serves the next."""
+    """Logical consequence of a conjunction of clauses.  Every goal's atoms
+    are checked against the signature first, so a stray atom raises whatever
+    the other goals give.  An empty conjunction is entailed, with no solver
+    and no bound; otherwise one solver over the program answers one UNSAT
+    query per goal under the goal's negation, made as assumptions, so what
+    it learns on one goal serves the next."""
     goals = [conjunction] if isinstance(conjunction, Clause) else list(conjunction)
-    solver = None  # built at the first goal: an empty conjunction needs no bound
     for goal in goals:
-        stray = goal.atoms() - program.signature
-        if stray:
-            raise ValueError(f"goal atoms outside the signature: {sorted(stray)}")
-        if solver is None:
-            solver = _solver(_cnf(program).to_cnf(), bound)
-            index = {a: i for i, a in enumerate(solver.atoms, 1)}
-        # not (H :- B) holds exactly when every literal of its clause fails
-        (clause,) = _rule_clauses([_rule(goal, index)])
-        if solver.solve([-lit for lit in clause]) is not None:
-            return False
-    return True
+        _within(goal.atoms(), program.signature, "goal atoms")
+    if not goals:
+        return True
+    solver = _solver(_cnf(program).to_cnf(), bound)
+    index = {a: i for i, a in enumerate(solver.atoms, 1)}
+    # not (H :- B) holds exactly when every literal of its clause fails
+    clauses = _rule_clauses([_rule(goal, index) for goal in goals])
+    return all(solver.solve([-lit for lit in clause]) is None for clause in clauses)
 
 
 def gl_reduct(program: Program, s: Interpretation) -> Program:
@@ -692,9 +689,7 @@ def gl_reduct(program: Program, s: Interpretation) -> Program:
     body literals."""
     if not program.is_general():
         raise ValueError("reduct requires a general program")
-    stray = frozenset(s) - program.signature
-    if stray:
-        raise ValueError(f"reduct set atoms outside the signature: {sorted(stray)}")
+    _within(s, program.signature, "reduct set atoms")
     reduced: list[Clause] = []
     for clause in program.clauses:
         if any(b.neg == 1 and b.atom in s for b in clause.body):

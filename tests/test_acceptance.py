@@ -163,7 +163,7 @@ def test_criterion_07_copy_transform_duality():
             mapped = sorted((mirror(m) for m in maximal_models(program)),
                             key=lambda s: tuple(sorted(s)))
             assert mapped == minimal_models(image)
-            for a_clause in program.sorted_clauses():
+            for a_clause in sorted(program.clauses):
                 single = g_transform(
                     Program.of([a_clause], signature=program.signature), amap
                 )

@@ -174,8 +174,14 @@ def prefix_programs(draw):
     clause([], ["a"]),
 ]))
 @given(prefix_programs())
-def test_sorted_clauses_keep_the_generated_order(p):
-    assert p.sorted_clauses() == sorted(p.clauses)
+def test_emitters_follow_the_sorted_clauses(p):
+    """On atoms that are prefixes of one another, the ASP text is the
+    clauses in `sorted(p.clauses)` order, and so are a solver's clauses:
+    `_cnf`'s numbering keeps the atoms' string order."""
+    ordered = sorted(p.clauses)
+    assert p.to_asp() == "".join(f"{c}\n" for c in ordered)
+    index = {a: i for i, a in enumerate(sorted(p.signature), 1)}
+    assert _cnf(p).to_cnf().clauses == _rule_clauses([_rule(c, index) for c in ordered])
 
 
 def test_cnf_encodes_the_rules_of_the_sorted_clauses():
@@ -188,7 +194,7 @@ def test_cnf_encodes_the_rules_of_the_sorted_clauses():
     programs += [g_transform(p, AtomMap({a: f"f({a})" for a in p.signature})) for p in programs]
     for p in programs:
         index = {a: i for i, a in enumerate(sorted(p.signature), 1)}
-        expected = _rule_clauses([_rule(c, index) for c in p.sorted_clauses()])
+        expected = _rule_clauses([_rule(c, index) for c in sorted(p.clauses)])
         assert _cnf(p).to_cnf().clauses == expected
 
 
@@ -316,6 +322,41 @@ class TestEntails:
         p = Program.of([clause(["a"])])
         with pytest.raises(ValueError):
             entails(p, clause(["z"]))
+
+    def test_every_goal_is_checked_before_any_solve(self):
+        # b is not entailed, and the stray z after it still raises, also
+        # at a bound the program exceeds
+        p = Program.of([clause(["a"])], signature={"a", "b"})
+        for bound in (24, 0):
+            with pytest.raises(ValueError, match=r"goal atoms outside the signature: \['z'\]"):
+                entails(p, [clause(["b"]), clause(["z"])], bound=bound)
+
+    def test_empty_conjunction_builds_no_solver(self, monkeypatch):
+        built = count_solver_builds(monkeypatch)
+        assert entails(Program.of([clause(["a"])]), [], bound=0)
+        assert built == []
+
+
+_STRAY = Program.of([clause(["a"]), clause(["b"], [Literal("a", 1)])])
+
+
+# every check of a caller's atoms against a signature, with its exact text
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Program([clause(["a"], ["z", "y"])], {"a"}),
+                 "clause atoms outside the signature: ['y', 'z']", id="Program"),
+    pytest.param(lambda: evaluate(frozenset(), clause(["a"], ["z"]), signature=["a"]),
+                 "clause atoms outside the signature: ['z']", id="evaluate"),
+    pytest.param(lambda: is_model(_STRAY, {"a", "z", "y"}),
+                 "interpretation atoms outside the signature: ['y', 'z']", id="is_model"),
+    pytest.param(lambda: entails(_STRAY, [clause(["a"]), clause(["z"], ["y"]), clause(["x"])]),
+                 "goal atoms outside the signature: ['y', 'z']", id="entails"),
+    pytest.param(lambda: gl_reduct(_STRAY, {"b", "z"}),
+                 "reduct set atoms outside the signature: ['z']", id="gl_reduct"),
+])
+def test_atoms_outside_the_signature_raise(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 class TestReduct:

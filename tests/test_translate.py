@@ -12,6 +12,7 @@ from argstable import (
     ArgumentationFramework,
     Clause,
     Literal,
+    Program,
     UnknownArgumentError,
     alpha,
     beta,
@@ -269,6 +270,24 @@ def test_to_cnf_encodes_the_rules_sorted():
         for build in _TARGETS.values():
             theory = build(af)
             assert theory.to_cnf().clauses == _rule_clauses(sorted(theory.clauses))
+
+
+def test_program_of_the_rules_skips_the_signature_check(monkeypatch):
+    """Every atom `program()` writes is one of the theory's atoms, and its
+    signature is all of them, so `Program`'s check, which it skips, would
+    pass."""
+    scans = []
+    scan = Program.occurring_atoms
+    monkeypatch.setattr(Program, "occurring_atoms", lambda p: scans.append(p) or scan(p))
+    rng = random.Random(25)
+    for _ in range(60):
+        af = random_framework(rng)
+        for build in _TARGETS.values():
+            theory = build(af)
+            program = theory.program()
+            assert scans == []
+            assert Program(program.clauses, theory.atoms) == program
+            assert scans.pop() == program
 
 
 # The integer clauses each solver gets, in its order: `to_cnf` of every
