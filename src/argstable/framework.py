@@ -4,6 +4,11 @@ Two text formats are supported.  APX consists of ``arg(x).`` and ``att(x,y).``
 facts with ``%`` comments; TGF lists one node name per line, a ``#`` separator,
 then ``src dst`` edge lines.  Serialization is canonical (lexicographic), so
 parse/serialize round-trips are stable.
+
+Both parsers do their per-fact work in C-level string and `re` calls: APX
+text is cut into facts and comments by one `re.split`, TGF text by
+`str.splitlines` and `str.split`.  Only rejected APX text is read again, by a
+scanner that finds the first error's line and column.
 """
 
 from __future__ import annotations
@@ -15,30 +20,34 @@ from typing import Iterable, NamedTuple
 from .errors import ParseError, UnknownArgumentError
 
 _N = r"[A-Za-z][A-Za-z0-9_]*"
-_NAME = re.compile(_N + r"\Z")
-# Whitespace and `%` comments, then an optional fact: `arg(x).` in group 1,
-# `att(x,y).` in groups 2-4 ("att", x, y), and any other fact shape, an
-# error, in groups 5-7; `lastindex` tells them apart.  No quantifier is
-# nested over whitespace, which would backtrack exponentially.  The scanners
-# are compiled on first use, through `re`'s cache, so a process compiles only
-# the one for the format it reads.
+# The pieces of APX text: a `%` comment, `arg(x).` with x in group 1, or
+# `att(x,y).` with x and y in groups 2 and 3.  `re.split` keeps the three
+# groups, so every fourth piece is the text between two of them, which must
+# be blank.  A comment is a piece of its own, so no fact inside it is read.
+_APX_PIECES = (
+    r"%[^\n]*"
+    rf"|arg\s*\(\s*({_N})\s*\)\s*\."
+    rf"|att\s*\(\s*({_N})\s*,\s*({_N})\s*\)\s*\."
+)
+# The scanner of rejected APX text.  Whitespace and `%` comments, then an
+# optional fact: `arg(x).` in group 1, `att(x,y).` in groups 2-4 ("att", x,
+# y), and any other fact shape, an error, in groups 5-7; `lastindex` tells
+# them apart.  No pattern nests a quantifier over whitespace, which would
+# backtrack exponentially.  Both patterns are compiled on first use, through
+# `re`'s cache, so only a process that reads APX compiles the first, and
+# only one that reads bad APX the second.
 _APX = (
     r"\s*(?:%[^\n]*\s*)*"
     rf"(?:arg\s*\(\s*({_N})\s*\)\s*\."
     rf"|(att)\s*\(\s*({_N})\s*,\s*({_N})\s*\)\s*\."
     rf"|({_N})\s*\(\s*({_N})\s*(?:,\s*({_N})\s*)?\)\s*\.)?"
 )
-# The characters `str.splitlines` ends a line at; blanks are the other
-# whitespace, which `str.split` splits a line at.
-_BREAK = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_BLANK = rf"[^\S{_BREAK}]"
-# Blank lines, then an optional line ended by a break or the end of the
-# text: a name in group 1 and maybe a second in group 2, or `#` in group 3.
-_TGF = rf"\s*(?:(?:({_N})(?:{_BLANK}+({_N}))?|(#)){_BLANK}*(?:[{_BREAK}]|\Z))?"
 
 
 def _valid_name(name: str) -> bool:
-    return bool(_NAME.match(name))
+    """`name` matches `[A-Za-z][A-Za-z0-9_]*`: an ASCII identifier that
+    does not start with `_`."""
+    return name.isascii() and name.isidentifier() and name[0] != "_"
 
 
 class _FrameworkFields(NamedTuple):
@@ -121,8 +130,8 @@ class ArgumentationFramework(_FrameworkFields):
 def _framework(arguments: frozenset[str],
                attacks: frozenset[tuple[str, str]]) -> ArgumentationFramework:
     """A framework built without `ArgumentationFramework`'s checks, for the
-    parsers, whose grammar already admits only valid names and whose
-    scanners reject an undeclared endpoint."""
+    parsers, whose grammar already admits only valid names and which reject
+    an undeclared endpoint."""
     return tuple.__new__(ArgumentationFramework, (arguments, attacks))
 
 
@@ -136,92 +145,93 @@ def parse_apx(text: str) -> ArgumentationFramework:
     """Parse APX facts. Duplicate declarations are tolerated; an att fact whose
     endpoint is never declared is an error, wherever in the file it appears.
 
-    One scanner reads the text: each match of `_APX` skips whitespace and
-    `%` comments and takes one fact.  A malformed fact stops it with an error
-    at the fact's line and column; the endpoints are checked once every
-    `arg` fact has been read."""
-    arguments, attacks, where = [], [], []
+    One `re.split` cuts the text into comments and facts.  The text is
+    accepted when everything between them is blank and every attack's
+    endpoints are declared; the names and pairs come off the pieces by
+    slicing.  Other text is read again by `_apx_error`, for the first
+    error's line and column."""
+    pieces = re.split(_APX_PIECES, text)
+    # a comment leaves None in all three groups, an arg fact in the last two
+    arguments = set(pieces[1::4])
+    attacks = set(zip(pieces[2::4], pieces[3::4]))
+    arguments.discard(None)
+    attacks.discard((None, None))
+    if "".join(pieces[0::4]).strip() or not arguments.issuperset(chain.from_iterable(attacks)):
+        raise _apx_error(text)
+    return _framework(frozenset(arguments), frozenset(attacks))
+
+
+def _apx_error(text: str) -> ParseError:
+    """The first error of APX text that `parse_apx` rejected.  Each match of
+    `_APX` skips whitespace and `%` comments and takes one fact; a malformed
+    fact is the error, at its line and column.  When every fact is well
+    formed, the error is the first att fact with an undeclared endpoint."""
+    declared, attacks = set(), []
     for m in re.finditer(_APX, text):
         kind = m.lastindex
         if kind == 1:
-            arguments.append(m[1])
+            declared.add(m[1])
         elif kind == 4:
-            attacks.append(m.group(3, 4))
-            where.append(m.start(2))
+            attacks.append(m)
         elif kind is None:
             # nothing fact-like after the whitespace and comments
             if m.end() == len(text):
                 break
-            raise ParseError(
+            return ParseError(
                 "expected a fact of the form arg(<name>). or att(<name>,<name>).",
                 *_line_col(text, m.end()),
             )
         else:
             pred, at = m[5], _line_col(text, m.start(5))
             if pred == "arg":
-                raise ParseError("arg takes a single name", *at)
+                return ParseError("arg takes a single name", *at)
             if pred == "att":
-                raise ParseError("att takes two names", *at)
-            raise ParseError(f"unknown predicate {pred!r}", *at)
-    declared = frozenset(arguments)
-    if not declared.issuperset(chain.from_iterable(attacks)):
-        for pair, at in zip(attacks, where):
-            for name in pair:
-                if name not in declared:
-                    raise ParseError(
-                        f"att references undeclared argument {name!r}", *_line_col(text, at)
-                    )
-    return _framework(declared, frozenset(attacks))
+                return ParseError("att takes two names", *at)
+            return ParseError(f"unknown predicate {pred!r}", *at)
+    for m in attacks:
+        for name in m.group(3, 4):
+            if name not in declared:
+                return ParseError(
+                    f"att references undeclared argument {name!r}", *_line_col(text, m.start(2))
+                )
 
 
 def parse_tgf(text: str) -> ArgumentationFramework:
     """Parse TGF: node names, one per line, then ``#``, then ``src dst`` edges.
 
-    One scanner reads the text: each match of `_TGF` skips blank lines and
-    takes one line, a name, a name pair or ``#``.  Lines are numbered as
-    `str.splitlines` splits them, so ``\\r\\n``, ``\\x0c``, ``\\x1c`` and
-    U+2028, among others, end a line.  The first line out of place, by its
-    shape, its names or an undeclared endpoint, stops the scan with an error
-    at its line."""
+    One loop reads the lines of `str.splitlines`, so ``\\r\\n``,
+    ``\\x0c``, ``\\x1c`` and U+2028, among others, end a line, and
+    `str.split` cuts each line into names.  Blank lines are skipped.  The
+    first line out of place, by its number of names, a name's shape or an
+    undeclared endpoint, is an error at its line."""
     nodes: set[str] = set()
     edges = []
     separated = False
-    for m in re.finditer(_TGF, text):
-        kind = m.lastindex
-        if kind == 2 and separated:
-            source, target = m.group(1, 2)
-            if source not in nodes or target not in nodes:
-                raise _tgf_error(text, m.start(1), nodes, separated)
-            edges.append((source, target))
-        elif kind == 1 and not separated:
-            nodes.add(m[1])
-        elif kind == 3 and not separated:
-            separated = True
-        elif kind is None and m.end() == len(text):
-            break
-        else:
-            start = m.end() if kind is None else m.start(3 if kind == 3 else 1)
-            raise _tgf_error(text, start, nodes, separated)
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, 1):
+        tokens = line.split()
+        if separated:
+            # declared nodes are valid names, so an edge needs no name check
+            if len(tokens) == 2 and tokens[0] in nodes and tokens[1] in nodes:
+                edges.append((tokens[0], tokens[1]))
+            elif tokens:
+                if len(tokens) != 2:
+                    raise ParseError("expected an edge line '<src> <dst>'", lineno, 1)
+                for name in tokens:
+                    if not _valid_name(name):
+                        raise ParseError(f"invalid node name {name!r}", lineno, 1)
+                    if name not in nodes:
+                        raise ParseError(f"edge references undeclared node {name!r}", lineno, 1)
+        elif len(tokens) == 1:
+            name = tokens[0]
+            if _valid_name(name):
+                nodes.add(name)
+            elif name == "#":
+                separated = True
+            else:
+                raise ParseError(f"invalid node name {name!r}", lineno, 1)
+        elif tokens:
+            raise ParseError("expected a single node name per line", lineno, 1)
     if not separated:
-        raise ParseError("missing '#' separator between nodes and edges",
-                         len(text.splitlines()) + 1, 1)
+        raise ParseError("missing '#' separator between nodes and edges", len(lines) + 1, 1)
     return _framework(frozenset(nodes), frozenset(edges))
-
-
-def _tgf_error(text: str, pos: int, nodes: set[str], separated: bool) -> ParseError:
-    """The error of the TGF line whose first non-blank character is at `pos`,
-    as the line rules read: its number of tokens, then each name's shape and,
-    in an edge, whether it is declared."""
-    lineno = len((text[:pos] + "x").splitlines())  # the x keeps the last line counted
-    tokens = text[pos:].splitlines()[0].split()
-    if not separated:
-        if len(tokens) != 1:
-            return ParseError("expected a single node name per line", lineno, 1)
-        return ParseError(f"invalid node name {tokens[0]!r}", lineno, 1)
-    if len(tokens) != 2:
-        return ParseError("expected an edge line '<src> <dst>'", lineno, 1)
-    # the scanner stops only at a line with an invalid or undeclared name
-    name = next(x for x in tokens if not _valid_name(x) or x not in nodes)
-    if not _valid_name(name):
-        return ParseError(f"invalid node name {name!r}", lineno, 1)
-    return ParseError(f"edge references undeclared node {name!r}", lineno, 1)

@@ -270,13 +270,16 @@ class NumberedTheory(NamedTuple):
         """The `Program` of the rules, with one shared `Literal` per atom and
         negation depth.  It is built without `Program`'s signature check:
         every atom it writes is `atoms[i - 1]`, and its signature is all of
-        `atoms`, so the check could find nothing."""
+        `atoms`, so the check could find nothing.  Its clauses skip
+        `Clause`'s checks too: each literal is one just made, and each rule
+        has a literal."""
         literals = {
             pair: Literal(self.atoms[pair[0] - 1], pair[1])
             for pair in {pair for head, body in self.clauses for pair in head + body}
         }
         clauses = [
-            Clause(tuple([literals[h] for h in head]), tuple([literals[b] for b in body]))
+            tuple.__new__(Clause, (tuple([literals[h] for h in head]),
+                                   tuple([literals[b] for b in body])))
             for head, body in self.clauses
         ]
         return tuple.__new__(Program, (frozenset(clauses), frozenset(self.atoms)))

@@ -1,7 +1,8 @@
-"""The APX and TGF parsers as they were before each format got one scanner:
-a character loop for APX and a `str.splitlines` loop for TGF, both building
-the framework through the validating constructor.  They are the reference
-the scanners in `argstable.framework` are tested against, result and error
+"""The APX and TGF parsers as they were before either format was parsed
+with bulk string operations: a character loop for APX and a
+`str.splitlines` loop that strips each line for TGF, both building the
+framework through the validating constructor.  They are the reference the
+parsers in `argstable.framework` are tested against, result and error
 alike."""
 
 import re

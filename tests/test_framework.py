@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -6,6 +9,7 @@ from argstable import (
     ArgumentationFramework,
     ParseError,
     UnknownArgumentError,
+    framework,
     parse_apx,
     parse_tgf,
 )
@@ -99,6 +103,26 @@ class TestParseTgf:
             parse_tgf("a\n#\na b\n")
 
 
+_README_KNOT = (
+    "arg(a). arg(b). arg(c). arg(d). arg(e).\n"
+    "att(a,b). att(b,a). att(b,c). att(c,d). att(d,e). att(e,c).\n"
+)
+
+
+@contextmanager
+def _counting_apx_errors():
+    """The texts `parse_apx` hands to its error scanner, while in the block."""
+    calls = []
+    diagnose = framework._apx_error
+
+    def counted(text):
+        calls.append(text)
+        return diagnose(text)
+
+    with mock.patch.object(framework, "_apx_error", counted):
+        yield calls
+
+
 class TestConstruction:
     def test_attack_endpoints_must_be_declared(self):
         with pytest.raises(ValueError):
@@ -109,8 +133,8 @@ class TestConstruction:
             ArgumentationFramework({"not ok"}, frozenset())
 
     def test_parsers_skip_the_validating_constructor(self, monkeypatch):
-        # the grammar admits only valid names and the scanners reject an
-        # undeclared endpoint, so a parsed framework is not checked again
+        # the parsers admit only valid names and reject an undeclared
+        # endpoint, so a parsed framework is not checked again
         built = []
         validating = ArgumentationFramework.__new__
 
@@ -124,6 +148,30 @@ class TestConstruction:
         assert built == []
         ArgumentationFramework(["a"], [])
         assert len(built) == 1
+
+    def test_valid_apx_is_accepted_without_the_error_scanner(self):
+        # valid text is accepted by one split; only rejected text is read
+        # again, for its error's line and column
+        texts = [
+            _README_KNOT,
+            "% head\r\narg(a).  \t arg(b).\r\n\r\n%c\r\natt(a,b).\t\t% tail\r\n  ",
+        ]
+        with _counting_apx_errors() as calls:
+            for text in texts:
+                assert parse_apx(text) == reference_parse_apx(text)
+        assert calls == []
+        with _counting_apx_errors() as calls:
+            with pytest.raises(ParseError):
+                parse_apx("arg(a).\n  bogus")
+        assert len(calls) == 1
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_serialized_apx_is_accepted_without_the_error_scanner(self, data):
+        af = data.draw(frameworks())
+        with _counting_apx_errors() as calls:
+            assert parse_apx(af.to_apx()) == af
+        assert calls == []
 
     def test_values_are_frozen(self):
         af = ArgumentationFramework(["a", "a", "b"], [("a", "b")])
@@ -312,11 +360,31 @@ def _outcome(parse, text):
         return type(exc), str(exc), exc.line, exc.column
 
 
+_APX_CASE = (parse_apx, reference_parse_apx)
+_TGF_CASE = (parse_tgf, reference_parse_tgf)
+
+
 @settings(deadline=None, max_examples=400)
 @given(st.one_of(
-    st.tuples(st.just((parse_apx, reference_parse_apx)), apx_texts()),
-    st.tuples(st.just((parse_tgf, reference_parse_tgf)), tgf_texts()),
+    st.tuples(st.just(_APX_CASE), apx_texts()),
+    st.tuples(st.just(_TGF_CASE), tgf_texts()),
 ))
-def test_scanners_agree_with_the_reference_parsers(case):
+# the traps of accepting APX by a split: a fact inside a comment, a comment
+# or a letter inside or before a fact, facts with nothing between them,
+# breaks inside a fact, a last fact with no dot and an undeclared endpoint
+@example((_APX_CASE, "% att(a,z).\narg(a)."))
+@example((_APX_CASE, "arg(a%\n)."))
+@example((_APX_CASE, "xarg(a)."))
+@example((_APX_CASE, "arg(a).arg(b)."))
+@example((_APX_CASE, "arg(\na\n)\n."))
+@example((_APX_CASE, "arg(a).\natt(a,a)"))
+@example((_APX_CASE, "att(z,a).\narg(a)."))
+# blanks that `str.split` splits at but `str.splitlines` does not end a line
+# at, `#` between blanks, and a second `#` after the separator
+@example((_TGF_CASE, "a\x1f\n\xa0b\n#\na\x1fb\nb\xa0a\n"))
+@example((_TGF_CASE, "a\x1fb\n#\n"))
+@example((_TGF_CASE, "a\n \t#\xa0\na a\n"))
+@example((_TGF_CASE, "a\n#\na a\n#\n"))
+def test_parsers_agree_with_the_reference_parsers(case):
     (parse, reference), text = case
     assert _outcome(parse, text) == _outcome(reference, text)
