@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .errors import UnknownArgumentError
 from .framework import ArgumentationFramework
 from .logic import (
     DEFAULT_MODEL_BOUND,
@@ -141,8 +140,7 @@ def query(
     model is read off `gamma`: each stable model of `lambda_` is a stable
     model of `gamma` plus the extension it decodes to, so `lambda_` itself is
     never built."""
-    if argument not in af.arguments:
-        raise UnknownArgumentError(f"unknown argument: {argument!r}")
+    af._known(argument)
     if mode not in ("brave", "cautious"):
         raise ValueError(f"unknown query mode: {mode!r}")
     brave = mode == "brave"

@@ -7,8 +7,8 @@ parse/serialize round-trips are stable.
 
 Both parsers do their per-fact work in C-level string and `re` calls: APX
 text is cut into facts and comments by one `re.split`, TGF text by
-`str.splitlines` and `str.split`.  Only rejected APX text is read again, by a
-scanner that finds the first error's line and column.
+`str.splitlines` and `str.split`.  Only rejected APX text is read again,
+on the same split's matches, for the first error's line and column.
 """
 
 from __future__ import annotations
@@ -29,19 +29,12 @@ _APX_PIECES = (
     rf"|arg\s*\(\s*({_N})\s*\)\s*\."
     rf"|att\s*\(\s*({_N})\s*,\s*({_N})\s*\)\s*\."
 )
-# The scanner of rejected APX text.  Whitespace and `%` comments, then an
-# optional fact: `arg(x).` in group 1, `att(x,y).` in groups 2-4 ("att", x,
-# y), and any other fact shape, an error, in groups 5-7; `lastindex` tells
-# them apart.  No pattern nests a quantifier over whitespace, which would
-# backtrack exponentially.  Both patterns are compiled on first use, through
-# `re`'s cache, so only a process that reads APX compiles the first, and
-# only one that reads bad APX the second.
-_APX = (
-    r"\s*(?:%[^\n]*\s*)*"
-    rf"(?:arg\s*\(\s*({_N})\s*\)\s*\."
-    rf"|(att)\s*\(\s*({_N})\s*,\s*({_N})\s*\)\s*\."
-    rf"|({_N})\s*\(\s*({_N})\s*(?:,\s*({_N})\s*)?\)\s*\.)?"
-)
+# The shape of any APX fact, with the predicate in group 1: it names the
+# error that `_apx_error` finds where no piece starts.  No pattern nests a
+# quantifier over whitespace, which would backtrack exponentially.  Both
+# patterns are compiled on first use, through `re`'s cache, so only a process
+# that reads APX compiles the first, and only one that reads bad APX `_FACT`.
+_FACT = rf"({_N})\s*\(\s*{_N}\s*(?:,\s*{_N}\s*)?\)\s*\."
 
 
 def _valid_name(name: str) -> bool:
@@ -162,37 +155,42 @@ def parse_apx(text: str) -> ArgumentationFramework:
 
 
 def _apx_error(text: str) -> ParseError:
-    """The first error of APX text that `parse_apx` rejected.  Each match of
-    `_APX` skips whitespace and `%` comments and takes one fact; a malformed
-    fact is the error, at its line and column.  When every fact is well
-    formed, the error is the first att fact with an undeclared endpoint."""
-    declared, attacks = set(), []
-    for m in re.finditer(_APX, text):
-        kind = m.lastindex
-        if kind == 1:
-            declared.add(m[1])
-        elif kind == 4:
-            attacks.append(m)
-        elif kind is None:
-            # nothing fact-like after the whitespace and comments
-            if m.end() == len(text):
-                break
-            return ParseError(
-                "expected a fact of the form arg(<name>). or att(<name>,<name>).",
-                *_line_col(text, m.end()),
-            )
-        else:
-            pred, at = m[5], _line_col(text, m.start(5))
+    """The first error of APX text that `parse_apx` rejected.  It walks the
+    matches of `_APX_PIECES` that the split cut on, then the end of the text.
+    The first non-blank character between two of them starts the error, and
+    the `_FACT` shape there, or its absence, names it.  No legal fact starts
+    where no piece starts, so an `arg` shape there has two names and an `att`
+    shape one.  When all the text between the pieces is blank, the error is
+    the first att fact with an undeclared endpoint."""
+    declared, attacks, end = set(), [], 0
+    for m in chain(re.finditer(_APX_PIECES, text), [None]):
+        start = len(text) if m is None else m.start()
+        gap = text[end:start]
+        if gap.strip():
+            pos = start - len(gap.lstrip())
+            fact, at = re.compile(_FACT).match(text, pos), _line_col(text, pos)
+            if fact is None:
+                return ParseError(
+                    "expected a fact of the form arg(<name>). or att(<name>,<name>).", *at
+                )
+            pred = fact[1]
             if pred == "arg":
                 return ParseError("arg takes a single name", *at)
             if pred == "att":
                 return ParseError("att takes two names", *at)
             return ParseError(f"unknown predicate {pred!r}", *at)
+        if m is None:
+            break
+        if m[1]:
+            declared.add(m[1])
+        elif m[2]:
+            attacks.append(m)
+        end = m.end()
     for m in attacks:
-        for name in m.group(3, 4):
+        for name in m.group(2, 3):
             if name not in declared:
                 return ParseError(
-                    f"att references undeclared argument {name!r}", *_line_col(text, m.start(2))
+                    f"att references undeclared argument {name!r}", *_line_col(text, m.start())
                 )
 
 

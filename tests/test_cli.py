@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import argstable
 from argstable import SolveReport, cli
 from argstable.cli import main
-from tests.common import odd_cycles, recursion_headroom, run_argstable
+from tests.common import defeat_frameworks, odd_cycles, recursion_headroom, run_argstable
 
 CHAIN_APX = "arg(a).\narg(b).\narg(c).\natt(a,b).\natt(b,c).\n"
 KNOT_APX = (
@@ -526,7 +526,7 @@ _COMMAND_LINES = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(framework_texts(), _COMMAND_LINES)
 def test_any_input_ends_in_a_documented_exit_code(text, argv):
     fmt, body = text
@@ -550,19 +550,6 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-# Names mix case, digits and `_`, so the emitters must number and order the
-# atoms exactly as the clauses sort.
-_MIXED_NAME = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,2}", fullmatch=True)
-
-
-@st.composite
-def mixed_frameworks(draw):
-    names = sorted(draw(st.frozensets(_MIXED_NAME, max_size=6)))
-    pairs = [(x, y) for x in names for y in names]
-    attacks = draw(st.frozensets(st.sampled_from(pairs))) if pairs else frozenset()
-    return argstable.ArgumentationFramework(names, attacks)
-
-
 def reference_dimacs(program):
     """DIMACS text built clause by clause: the signature sorted and numbered
     from 1, then each clause in sorted order, head literals at their parity
@@ -580,8 +567,10 @@ def reference_dimacs(program):
     return "".join(names) + f"p cnf {len(atoms)} {len(rows)}\n" + "".join(rows)
 
 
-@settings(deadline=None, max_examples=150)
-@given(mixed_frameworks(), st.sampled_from(sorted(cli._TARGETS)))
+# Names mix case, digits and `_`, so the emitters must number and order the
+# atoms exactly as the clauses sort.
+@settings(max_examples=150)
+@given(defeat_frameworks(), st.sampled_from(sorted(cli._TARGETS)))
 def test_translate_emits_the_sorted_clauses(af, target):
     program = cli._TARGETS[target](af).program()
     expected = {

@@ -509,7 +509,7 @@ def _solver_inputs(engine, af):
 
 # `lambda_` numbers argument and defeat atoms sorted together: `D` and `c`
 # sort before `d(`, `d` just before it, and `dA` and `e` after it
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @example(ArgumentationFramework(
     frozenset({"D", "c", "d", "dA", "e"}),
     frozenset({("D", "dA"), ("dA", "d"), ("d", "c"), ("c", "e"), ("e", "e"), ("c", "D")}),
@@ -567,7 +567,7 @@ def disjoint_frameworks(draw):
 
 # The engines decode a model by atom number; `translate.decode` formats each
 # argument's defeat atom and is the reference
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @example(mutual_attacks(4))
 @example(knot_copies(3))
 @given(st.one_of(defeat_frameworks(), disjoint_frameworks()))

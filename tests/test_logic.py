@@ -165,7 +165,7 @@ def prefix_programs(draw):
     return Program.of(clauses)
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @example(Program.of([
     clause(["a"], ["a1"]),
     clause(["a", "a1"]),
@@ -475,7 +475,7 @@ def general_programs(draw):
     return Program.of(clauses, signature=occurring | draw(st.frozensets(_pool)))
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(general_programs())
 def test_minimal_models_model_their_reduct(p):
     for m in minimal_models(p):
@@ -486,7 +486,7 @@ def test_minimal_models_model_their_reduct(p):
 # and the minimal model {a}, which the reduct rejects.  In the last example
 # {a} is stable, and a copy of the negated atom `a` named `a'` would collide
 # with an atom that the constraint keeps false.
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @example(FOUR_RULE_PROGRAM)
 @example(alpha(SELF_ATTACK))
 @example(Program.of([clause(["b"], [Literal("a", 1)])]))
@@ -598,7 +598,7 @@ _SPLIT = {
 _INTERLEAVED = Program.of([clause((), ["x3", "x5"]), clause(["x1"], ["x3"]), clause((), ["x2", "x4"])])
 
 
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @example(_AT_SPLIT_POINT)
 @example(_PAST_SPLIT_POINT)
 @example(_SPLIT["either-2"])
@@ -794,7 +794,7 @@ def programs(draw):
     return Program.of(clauses, signature=occurring | draw(st.frozensets(_atoms)))
 
 
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 @example(Program.of([
     clause([Literal("p0"), Literal("p0", 2)], [Literal("p1", 1), Literal("p1", 3)]),
     clause([], [Literal("p0", 2), Literal("p0")]),
@@ -837,7 +837,7 @@ def programs_with_goals(draw):
     return p, goals
 
 
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 @example((
     Program.of([clause(["p0"], [Literal("p1", 1)])], signature={"p0", "p1"}),
     [
@@ -888,7 +888,7 @@ def _brute_models(n, cnf):
 # propagation, which must still find the conflict.  Decisions set the lowest
 # unassigned variable false, so each answer is the lexicographically least
 # model by the key below, which no clause order changes.
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @example((2, [[-1, -2], [1, -2], [1, 2]], [[]]))
 @example((5, [[5, 2]], []))
 @example((3, [[1, 2], [1, 3]], []))
