@@ -11,7 +11,7 @@ and compares their extensions.
 
 Exit status: 0 success or positive verdict, 1 input error or output that
 cannot be written (a closed pipe, say), 2 exhaustive bound exceeded, 3
-negative verdict, 4 engine disagreement under --cross-check.
+negative verdict, 4 engine disagreement under --cross-check, 130 interrupted.
 A non-negative integer in ARGSTABLE_BOUND overrides the exhaustive bounds.
 """
 
@@ -66,20 +66,19 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{self.format_usage()}argstable: error: {message}")
+        sys.stderr.write(self.format_usage())
+        raise _UsageError(message)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="argstable", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", default="-", metavar="PATH",
+                        help="framework file, or - for standard input (default)")
+    common.add_argument("--format", default="apx", choices=["apx", "tgf"])
 
-    def common(p):
-        p.add_argument("--input", default="-", metavar="PATH",
-                       help="framework file, or - for standard input (default)")
-        p.add_argument("--format", default="apx", choices=["apx", "tgf"])
-
-    p = sub.add_parser("solve", help="list the preferred extensions")
-    common(p)
+    p = sub.add_parser("solve", parents=[common], help="list the preferred extensions")
     p.add_argument("--engine", default="gamma",
                    choices=list(_ENGINES))
     p.add_argument("--json", action="store_true",
@@ -87,24 +86,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--cross-check", action="store_true",
                    help="run every engine and fail on disagreement")
 
-    p = sub.add_parser("check", help="decide whether a set is a preferred extension")
-    common(p)
+    p = sub.add_parser("check", parents=[common],
+                       help="decide whether a set is a preferred extension")
     p.add_argument("members", nargs="*", metavar="NAME")
 
-    p = sub.add_parser("query", help="brave or cautious acceptance of one argument")
-    common(p)
+    p = sub.add_parser("query", parents=[common],
+                       help="brave or cautious acceptance of one argument")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--brave", action="store_true")
     mode.add_argument("--cautious", action="store_true")
     p.add_argument("argument", metavar="NAME")
 
-    p = sub.add_parser("translate", help="emit a translation of the framework")
-    common(p)
+    p = sub.add_parser("translate", parents=[common], help="emit a translation of the framework")
     p.add_argument("target", choices=sorted(_TARGETS))
     p.add_argument("--emit", default="asp", choices=["asp", "dimacs"])
 
-    p = sub.add_parser("admissible", help="list every admissible set")
-    common(p)
+    sub.add_parser("admissible", parents=[common], help="list every admissible set")
     return parser
 
 
@@ -117,9 +114,9 @@ def _bound() -> dict[str, int]:
     try:
         bound = int(raw)
     except ValueError:
-        raise _UsageError(f"argstable: error: ARGSTABLE_BOUND is not an integer: {raw!r}")
+        raise _UsageError(f"ARGSTABLE_BOUND is not an integer: {raw!r}")
     if bound < 0:
-        raise _UsageError(f"argstable: error: ARGSTABLE_BOUND is negative: {raw!r}")
+        raise _UsageError(f"ARGSTABLE_BOUND is negative: {raw!r}")
     return {"bound": bound}
 
 
@@ -132,7 +129,7 @@ def _load(ns) -> ArgumentationFramework:
             with open(ns.input, encoding="utf-8-sig") as handle:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"argstable: error: cannot read {ns.input}: {exc}")
+        raise _UsageError(f"cannot read {ns.input}: {exc}")
     return parse_apx(text) if ns.format == "apx" else parse_tgf(text)
 
 
@@ -141,20 +138,15 @@ def _format_set(s) -> str:
 
 
 def _cmd_solve(ns, af: ArgumentationFramework, bound: dict) -> int:
-    if ns.cross_check:
-        reports = [engine(af, **bound) for engine in _ENGINES.values()]
-        results = {r.engine: r.extensions for r in reports}
-        if len(set(results.values())) != 1:
-            for engine, extensions in results.items():
-                print(
-                    f"argstable: {engine}: {' '.join(_format_set(e) for e in extensions) or '(none)'}",
-                    file=sys.stderr,
-                )
-            print("argstable: error: engines disagree", file=sys.stderr)
-            return 4
-        report = next(r for r in reports if r.engine == ns.engine)
-    else:
-        report = _ENGINES[ns.engine](af, **bound)
+    reports = {name: engine(af, **bound) for name, engine in _ENGINES.items()
+               if ns.cross_check or name == ns.engine}
+    if len({r.extensions for r in reports.values()}) != 1:
+        for name, r in reports.items():
+            listed = " ".join(_format_set(e) for e in r.extensions) or "(none)"
+            print(f"argstable: {name}: {listed}", file=sys.stderr)
+        print("argstable: error: engines disagree", file=sys.stderr)
+        return 4
+    report = reports[ns.engine]
     for extension in report.extensions:
         if ns.json:
             witness = report.witnesses.get(extension)
@@ -186,13 +178,9 @@ def _cmd_check(ns, af: ArgumentationFramework, bound: dict) -> int:
 def _cmd_query(ns, af: ArgumentationFramework, bound: dict) -> int:
     mode = "brave" if ns.brave else "cautious"
     verdict = query(af, ns.argument, mode, **bound)
-    adverb = "bravely" if mode == "brave" else "cautiously"
-    if verdict.evidence is not None:
-        outcome = "true" if verdict.holds else "false"
-        print(f"{ns.argument} is {adverb} {outcome},"
-              f" evidenced by {_format_set(verdict.evidence)}")
-    else:
-        print(f"{ns.argument} is {adverb} {'true' if verdict.holds else 'false'}")
+    outcome = "true" if verdict.holds else "false"
+    evidence = "" if verdict.evidence is None else f", evidenced by {_format_set(verdict.evidence)}"
+    print(f"{ns.argument} is {mode}ly {outcome}{evidence}")
     return 0 if verdict.holds else 3
 
 
@@ -218,29 +206,23 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         bound = _bound()
-        af = _load(ns)
-        code = _COMMANDS[ns.command](ns, af, bound)
+        code = _COMMANDS[ns.command](ns, _load(ns), bound)
         sys.stdout.flush()
         return code
     except OSError as exc:
         # `_load` reports its own, so this is a write to standard output that
         # failed; point it at the null device so the flush at exit is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"argstable: error: cannot write output: {exc.strerror}", file=sys.stderr)
-        return 1
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except (ParseError, UnknownArgumentError) as exc:
-        print(f"argstable: error: {exc}", file=sys.stderr)
-        return 1
-    except BoundExceededError as exc:
-        print(f"argstable: error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"cannot write output: {exc.strerror}", 1
+    except (_UsageError, ParseError, UnknownArgumentError, BoundExceededError) as exc:
+        message, code = exc, 2 if isinstance(exc, BoundExceededError) else 1
+    except KeyboardInterrupt:
+        message, code = "interrupted", 130
+    print(f"argstable: error: {message}", file=sys.stderr)
+    return code
 
 
 def entry_point() -> None:

@@ -271,6 +271,17 @@ class TestAdmissible:
         assert out == "{}\n{a}\n{a,c}\n"
 
 
+# A command that lost `--input` or `--format` ends in a usage error, exit 1,
+# which a check for documented exit codes alone accepts.
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["check", "a"], ["query", "--brave", "a"], ["translate", "gamma"], ["admissible"],
+], ids=lambda argv: argv[0])
+def test_every_command_reads_its_input_in_either_format(run, argv):
+    apx = run(argv, text=KNOT_APX)
+    assert apx[0] == 0 and apx[1] and apx[2] == ""
+    assert run(argv + ["--format", "tgf"], text=KNOT_TGF) == apx
+
+
 class TestErrors:
     def test_parse_error(self, run):
         code, _, err = run(["solve", "--format", "tgf"], stdin="a extra\n#\n")
@@ -329,6 +340,12 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err == "argstable: error: ARGSTABLE_BOUND is negative: '-1'\n"
+
+    def test_interrupt(self, run, monkeypatch):
+        def interrupted(af, **bound):
+            raise KeyboardInterrupt
+        monkeypatch.setitem(cli._ENGINES, "gamma", interrupted)
+        assert run(["solve"], text=KNOT_APX) == (130, "", "argstable: error: interrupted\n")
 
     def test_generous_bound_is_accepted(self, run):
         code, out, _ = run(["solve"], text=CHAIN_APX, env={"ARGSTABLE_BOUND": "30"})

@@ -155,14 +155,20 @@ _prefix_literals = st.builds(
 )
 
 
+def _draw_clauses(draw, head_literals, body_literals, least, most):
+    """`least` to `most` clauses, each with at most three head and three body
+    literals; a clause with no head has at least one body literal."""
+    clauses = []
+    for _ in range(draw(st.integers(least, most))):
+        head = draw(st.lists(head_literals, max_size=3))
+        body = draw(st.lists(body_literals, min_size=0 if head else 1, max_size=3))
+        clauses.append(Clause(tuple(head), tuple(body)))
+    return clauses
+
+
 @st.composite
 def prefix_programs(draw):
-    clauses = []
-    for _ in range(draw(st.integers(0, 8))):
-        head = draw(st.lists(_prefix_literals, max_size=3))
-        body = draw(st.lists(_prefix_literals, min_size=0 if head else 1, max_size=3))
-        clauses.append(Clause(tuple(head), tuple(body)))
-    return Program.of(clauses)
+    return Program.of(_draw_clauses(draw, _prefix_literals, _prefix_literals, 0, 8))
 
 
 @settings(max_examples=200)
@@ -464,13 +470,9 @@ def general_programs(draw):
     """General programs over at most seven atoms: heads at negation depth 0,
     bodies at depth at most 1, constraints and disjunctive heads included,
     over a signature that may declare unused atoms."""
-    clauses = []
-    for _ in range(draw(st.integers(1, 6))):
-        # the depth is given: `builds` would fill a defaulted `NamedTuple` field
-        head = draw(st.lists(st.builds(Literal, _pool, st.just(0)), max_size=3))
-        body_literals = st.builds(Literal, _pool, st.integers(0, 1))
-        body = draw(st.lists(body_literals, min_size=0 if head else 1, max_size=3))
-        clauses.append(Clause(tuple(head), tuple(body)))
+    # the depth is given: `builds` would fill a defaulted `NamedTuple` field
+    clauses = _draw_clauses(draw, st.builds(Literal, _pool, st.just(0)),
+                            st.builds(Literal, _pool, st.integers(0, 1)), 1, 6)
     occurring = {l.atom for c in clauses for l in c.head + c.body}
     return Program.of(clauses, signature=occurring | draw(st.frozensets(_pool)))
 
@@ -785,11 +787,7 @@ _literals = st.builds(Literal, _atoms, st.integers(0, 3))
 def programs(draw):
     """Small programs with repeated atoms and negation depth up to 3 on either
     side of a clause, over a signature that may declare unused atoms."""
-    clauses = []
-    for _ in range(draw(st.integers(1, 5))):
-        head = draw(st.lists(_literals, max_size=3))
-        body = draw(st.lists(_literals, min_size=0 if head else 1, max_size=3))
-        clauses.append(Clause(tuple(head), tuple(body)))
+    clauses = _draw_clauses(draw, _literals, _literals, 1, 5)
     occurring = {l.atom for c in clauses for l in c.head + c.body}
     return Program.of(clauses, signature=occurring | draw(st.frozensets(_atoms)))
 
@@ -829,12 +827,7 @@ def programs_with_goals(draw):
     `p0 :- p0` and atoms on both sides of a goal common."""
     p = draw(programs())
     literals = st.builds(Literal, st.sampled_from(sorted(p.signature)), st.integers(0, 3))
-    goals = []
-    for _ in range(draw(st.integers(1, 3))):
-        head = draw(st.lists(literals, max_size=3))
-        body = draw(st.lists(literals, min_size=0 if head else 1, max_size=3))
-        goals.append(Clause(tuple(head), tuple(body)))
-    return p, goals
+    return p, _draw_clauses(draw, literals, literals, 1, 3)
 
 
 @settings(max_examples=150)
