@@ -1,4 +1,13 @@
-"""Preferred-extension engines and certificate checkers built on the translations."""
+"""Preferred-extension engines and certificate checkers built on the translations.
+
+The alpha and gamma engines, and `query` through the gamma engine, solve
+only the undecided core: the framework restricted to the arguments that the
+grounded labelling (`ArgumentationFramework.grounded`) labels neither IN nor
+OUT.  Each core extension is reported with IN added, and each witness with
+the defeat atoms of OUT, so both are the ones the whole framework's defeat
+CNF gives.  The bound is checked on the whole framework.  The lambda engine,
+both checkers and the oracle work on the whole framework, so
+`solve --cross-check` sets the peeled engines against unpeeled ones."""
 
 from __future__ import annotations
 
@@ -7,13 +16,13 @@ from typing import Mapping, NamedTuple
 from .framework import ArgumentationFramework
 from .logic import (
     DEFAULT_MODEL_BOUND,
-    Cnf,
     Interpretation,
     _solver,
     canonical,
+    check_bound,
     is_minimal_model_by_consequence,
 )
-from .translate import alpha_rules, compl
+from .translate import alpha_rules, compl, defeat_atom
 
 # The alpha and gamma engines, `query` and the UNSAT checker solve the one
 # defeat CNF, built straight from the attacks; the lambda engine works on
@@ -55,23 +64,45 @@ def _report(engine: str, pairs) -> SolveReport:
     return SolveReport(engine, extensions, witnesses)
 
 
-def _defeat_report(
-    engine: str, af: ArgumentationFramework, theory: Cnf, bound: int
-) -> SolveReport:
-    """The extensions of the minimal models of the defeat CNF, each the
-    arguments whose defeat atom the model leaves out: atom number i is d(x)
-    for the i-th argument x in sorted order, so one mapping decodes them
-    all."""
-    argument = dict(zip(theory.atoms, sorted(af.arguments))).__getitem__
+def _defeat_report(engine: str, af: ArgumentationFramework, build, bound: int) -> SolveReport:
+    """The extensions of the minimal models of the defeat CNF that `build`
+    gives, each the arguments whose defeat atom the model leaves out: atom
+    number i is d(x) for the i-th argument x in sorted order, so one mapping
+    decodes them all.
+
+    Only the undecided core is solved.  The bound is checked on the whole
+    framework first.  Every preferred extension contains the grounded
+    extension G = IN and excludes OUT, the arguments G attacks (Dung 1995).
+    Let U be the rest.  E ↦ E \\ G maps the admissible sets that contain G
+    one to one onto the admissible sets of AF↓U, and keeps the subset
+    order: no argument of U attacks G, since every attacker of G is OUT; G
+    defends against every attack from OUT; and an attacker in U of a member
+    of E is attacked from E \\ G, since what G attacks is OUT.  A minimal
+    model of the defeat CNF is the complement image of its extension, so
+    the core's model plus d(x) for every x in OUT is the whole framework's:
+    every extension and witness is the one the whole CNF gives.  With U
+    empty, the empty framework's case too, the one extension is IN, and no
+    solver is built; with IN empty the core is the whole framework."""
+    check_bound(len(af.arguments), bound, "program signature")
+    accepted, rejected = af.grounded()
+    out = frozenset(map(defeat_atom, rejected))
+    if len(accepted) + len(rejected) == len(af.arguments):
+        return _report(engine, [(accepted, out)])
+    core = af.restrict(af.arguments - accepted - rejected) if accepted else af
+    theory = build(core)
+    argument = dict(zip(theory.atoms, sorted(core.arguments))).__getitem__
     found = minimal_models(theory, bound)
-    return _report(engine, ((af.arguments.difference(map(argument, m)), m) for m in found))
+    # an extension is A less OUT less the arguments the core model defeats
+    kept = af.arguments - rejected
+    return _report(engine, ((kept.difference(map(argument, m)), m | out if out else m)
+                            for m in found))
 
 
 def preferred_via_alpha(
     af: ArgumentationFramework, bound: int = DEFAULT_MODEL_BOUND
 ) -> SolveReport:
     """Preferred extensions read off the minimal models of the defeat theory."""
-    return _defeat_report("alpha", af, alpha(af), bound)
+    return _defeat_report("alpha", af, alpha, bound)
 
 
 def preferred_via_gamma(
@@ -79,7 +110,7 @@ def preferred_via_gamma(
 ) -> SolveReport:
     """Preferred extensions read off the stable models of the disjunctive
     program.  It is positive, so they are its minimal models."""
-    return _defeat_report("gamma", af, gamma(af), bound)
+    return _defeat_report("gamma", af, gamma, bound)
 
 
 def preferred_via_lambda(

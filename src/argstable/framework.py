@@ -5,6 +5,10 @@ facts with ``%`` comments; TGF lists one node name per line, a ``#`` separator,
 then ``src dst`` edge lines.  Serialization is canonical (lexicographic), so
 parse/serialize round-trips are stable.
 
+Two structural operations serve the engines: `grounded()`, the grounded
+labelling as (IN, OUT) in linear time, and `restrict(U)`, the framework
+AF↓U on the arguments of U with the attacks between them.
+
 Both parsers do their per-fact work in C-level string and `re` calls: APX
 text is cut into facts and comments by one `re.split`, TGF text by
 `str.splitlines` and `str.split`.  Only rejected APX text is read again,
@@ -97,6 +101,42 @@ class ArgumentationFramework(_FrameworkFields):
         attacked = {target for source, target in self.attacks if source in s}
         return all(source in attacked for source, target in self.attacks if target in s)
 
+    def grounded(self) -> tuple[frozenset[str], frozenset[str]]:
+        """The grounded labelling as (IN, OUT): IN is the grounded extension,
+        the least fixed point of the characteristic function (Dung 1995),
+        and OUT the arguments it attacks.  Labelling (Modgil & Caminada
+        2009), in O(|A| + |R|) with no recursion: an argument whose
+        attackers are all OUT goes IN, and what it attacks goes OUT.  Each
+        argument keeps the count of its attackers not yet OUT, and a
+        worklist holds the arguments whose count reached 0.  With no
+        unattacked argument both sets are empty, found after one pass."""
+        attacks = self.attacks
+        unattacked = self.arguments.difference([t for _, t in attacks])
+        if not unattacked:
+            return frozenset(), frozenset()
+        targets: dict[str, list[str]] = {}
+        count = dict.fromkeys(self.arguments, 0)
+        for s, t in attacks:
+            targets.setdefault(s, []).append(t)
+            count[t] += 1
+        accepted, rejected, todo = set(), set(), list(unattacked)
+        while todo:
+            x = todo.pop()
+            accepted.add(x)
+            for y in targets.get(x, ()):
+                if y not in rejected:
+                    rejected.add(y)
+                    for z in targets.get(y, ()):
+                        count[z] -= 1
+                        if not count[z]:
+                            todo.append(z)
+        return frozenset(accepted), frozenset(rejected)
+
+    def restrict(self, members: Iterable[str]) -> ArgumentationFramework:
+        """AF↓U: the arguments of U with the attacks between them."""
+        u = self._subset(members)
+        return _framework(u, frozenset([(s, t) for s, t in self.attacks if s in u and t in u]))
+
     def to_apx(self) -> str:
         lines = [f"arg({a})." for a in sorted(self.arguments)]
         lines += [f"att({a},{b})." for a, b in sorted(self.attacks)]
@@ -124,7 +164,8 @@ def _framework(arguments: frozenset[str],
                attacks: frozenset[tuple[str, str]]) -> ArgumentationFramework:
     """A framework built without `ArgumentationFramework`'s checks, for the
     parsers, whose grammar already admits only valid names and which reject
-    an undeclared endpoint."""
+    an undeclared endpoint, and for `restrict`, which keeps a checked subset
+    of a framework's arguments and only the attacks inside it."""
     return tuple.__new__(ArgumentationFramework, (arguments, attacks))
 
 

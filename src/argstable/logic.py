@@ -591,9 +591,9 @@ def _minimal_models(theory: Cnf, bound: int) -> list[Interpretation]:
     literal occurrences of the integer clauses and a solver per part.  So the
     whole search runs first, rent or buy, and splits once its models times
     the atoms exceed the literal occurrences.  A theory with few models never
-    splits: on the benchmark's seed-1 cycles, recounted on the engines' one
-    defeat CNF, 600 of `enumerate`'s 780 solve operations split, and none of
-    `search`'s 720 or of `decide`'s 520 queries."""
+    splits: on the benchmark's seed-1 cycles, recounted on the undecided
+    cores the engines solve, 600 of `enumerate`'s 780 solve operations
+    split, 8 of `search`'s 720, and none of `decide`'s 520 queries."""
     atoms, cnf = theory
     split = sum(map(len, cnf)) // (len(atoms) or 1) + 1
     search = _solver(theory, bound).minimal_models()

@@ -68,6 +68,17 @@ from tests.common import (
 ENGINES = (preferred_via_alpha, preferred_via_gamma, preferred_via_lambda)
 
 
+# a IN, b OUT, and c <-> d left undecided by the grounded labelling
+PEELED = ArgumentationFramework("abcd", {("a", "b"), ("b", "c"), ("c", "d"), ("d", "c")})
+
+
+def _undecided(af):
+    """What the grounded labelling leaves undecided: the core whose defeat
+    CNF the alpha and gamma engines solve."""
+    accepted, rejected = af.grounded()
+    return af.arguments - accepted - rejected
+
+
 class TestEnginesAgreeOnGoldenCases:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_chain(self, engine):
@@ -336,7 +347,8 @@ class TestAgainstOracle:
             assert stable_models(lambda_(af)) == expected
 
     def test_positive_programs_build_no_reduct(self, monkeypatch):
-        # one solver finds the candidates; a positive program needs no other
+        # one solver finds the candidates; a positive program needs no other,
+        # and the gamma engine builds none when nothing is left undecided
         built = count_solver_builds(monkeypatch)
         assert stable_models(gamma(KNOT)) == KNOT_GAMMA_STABLE
         assert len(built) == 1
@@ -345,7 +357,7 @@ class TestAgainstOracle:
             af = random_framework(rng, max_args=6)
             del built[:]
             assert preferred_via_gamma(af).extensions == tuple(preferred_oracle(af))
-            assert len(built) == 1
+            assert len(built) == (1 if _undecided(af) else 0)
 
     def test_stable_fragment_matches_stable_oracle(self):
         rng = random.Random(53)
@@ -452,7 +464,8 @@ def test_disjoint_parts_are_enumerated_part_by_part(monkeypatch):
 # The other side of the split rule: a theory with few models pays for no
 # parts.  Each of these has one or a few preferred extensions, and the
 # eager split that multi-part theories like the 3-cycles would take builds
-# more solvers.
+# more solvers.  The grounded labelling decides all of the chain, so its
+# engines build no solver at all.
 def test_few_models_build_one_solver_and_find_no_parts(monkeypatch):
     built = count_solver_builds(monkeypatch)
     parts = []
@@ -463,7 +476,7 @@ def test_few_models_build_one_solver_and_find_no_parts(monkeypatch):
     for af, engine in itertools.product(frameworks, ENGINES[:2]):
         del built[:]
         assert engine(af, bound=10_000).extensions
-        assert len(built) == 1
+        assert len(built) == (1 if _undecided(af) else 0)
     assert parts == []
 
 
@@ -473,14 +486,60 @@ def test_long_chain_has_its_one_extension():
     assert report.extensions == (frozenset(sorted(af.arguments)[::2]),)
 
 
+# The peel above the oracle's cap: the alpha and gamma engines solve only the
+# core the grounded labelling leaves undecided, and must report exactly the
+# extensions and witnesses that the whole framework's defeat CNF gives.
+# Frameworks this sparse have unattacked arguments, so most are peeled.
+def test_peeled_engines_report_what_the_whole_defeat_cnf_gives():
+    rng = random.Random(2029)
+    peeled = 0
+    for _ in range(300):
+        af = random_attacks(rng.randint(25, 60), rng.uniform(0.01, 0.06), rng.randrange(1 << 30))
+        whole = {decode(af, m): m for m in logic._minimal_models(defeat_cnf(af), 10_000)}
+        for engine in (preferred_via_alpha, preferred_via_gamma):
+            report = engine(af, bound=10_000)
+            assert report.witnesses == whole
+            assert report.extensions == tuple(canonical(whole))
+        peeled += len(_undecided(af)) < len(af.arguments)
+    assert peeled > 250
+
+
+# Count gates of the peel, with no wall clock: a chain is decided by the
+# grounded labelling alone, so no solver is built, and its one witness is the
+# complement image of its extension
+def test_decided_chain_builds_no_solver(monkeypatch):
+    built = count_solver_builds(monkeypatch)
+    af = attack_chain(5000)
+    extension = frozenset(sorted(af.arguments)[::2])
+    for engine in (preferred_via_alpha, preferred_via_gamma):
+        report = engine(af, bound=10_000)
+        assert report.extensions == (extension,)
+        assert report.witnesses == {extension: compl(af, extension)}
+    assert built == []
+
+
+# The bound is checked on the whole framework, not on the core: a chain of 25
+# is decided without a solver, and is still refused, as before the peel
+@pytest.mark.parametrize("run", [
+    preferred_via_alpha, preferred_via_gamma, lambda af: query(af, "a0000", "brave"),
+], ids=["alpha", "gamma", "query"])
+def test_bound_counts_the_whole_framework(run):
+    message = "^program signature has 25 atoms, exceeding the bound of 24$"
+    with pytest.raises(BoundExceededError, match=message):
+        run(attack_chain(25))
+
+
 # The alpha, gamma and lambda engines compile a framework straight to solver
 # clauses, with no `Clause` or `Program` on the way.  What they hand the
-# (candidate) solver must be the clauses of `_cnf(gamma(af))`, for the alpha
-# and gamma engines alike, and of `_cnf(lambda_(af))`, over the same atoms, so
-# that the searches find the same models, and so every witness, that the
-# `Program` would give.  `alpha(af)` is one clause set with `gamma(af)`, and
-# gamma's image holds each clause once.  The rules are a set, so the clause
-# lists compare sorted, each clause with its literals in their order.
+# (candidate) solver must be the clauses of `_cnf(gamma(core))`, for the alpha
+# and gamma engines alike, where the core is the framework restricted to what
+# the grounded labelling leaves undecided (the whole framework when no
+# argument is unattacked, and no solver at all when nothing is undecided),
+# and of `_cnf(lambda_(af))`, over the same atoms, so that the searches find
+# the same models, and so every witness, that the `Program` would give.
+# `alpha(af)` is one clause set with `gamma(af)`, and gamma's image holds
+# each clause once.  The rules are a set, so the clause lists compare
+# sorted, each clause with its literals in their order.
 def _by_clause(af, attack_clause):
     """A defeat theory built clause by clause: per attack (b, a),
     `attack_clause(d(a), d(b))` and the defender rule."""
@@ -519,23 +578,31 @@ def _solver_inputs(engine, af):
 @example(NAMES_ABOVE_D)
 @example(NAMES_AROUND_D)
 @example(EMPTY)
+@example(CHAIN)
+@example(PEELED)
 @given(defeat_frameworks())
 def test_engines_hand_the_solver_the_cnf_image(af):
+    disjunction = lambda a, b: Clause(head=tuple(sorted({a, b})))
     by_clause = {
         alpha: _by_clause(af, lambda a, b: Clause(head=(a,), body=(Literal(b, 1),))),
-        gamma: _by_clause(af, lambda a, b: Clause(head=tuple(sorted({a, b})))),
+        gamma: _by_clause(af, disjunction),
     }
     acceptance = {Clause(head=(x,), body=(Literal(defeat_atom(x), 1),)) for x in af.arguments}
     by_clause[lambda_] = Program(
         by_clause[gamma].clauses | acceptance, by_clause[gamma].signature | af.arguments
     )
-    engines = ((preferred_via_alpha, alpha, gamma), (preferred_via_gamma, gamma, gamma),
-               (preferred_via_lambda, lambda_, lambda_))
+    core = _by_clause(af.restrict(_undecided(af)), disjunction)
+    engines = ((preferred_via_alpha, alpha, core), (preferred_via_gamma, gamma, core),
+               (preferred_via_lambda, lambda_, by_clause[lambda_]))
     for engine, build, solved in engines:
         assert build(af) == by_clause[build]
-        theory = _cnf(by_clause[solved])
+        inputs = _solver_inputs(engine, af)
+        if solved is core and not core.signature:
+            assert inputs == []
+            continue
+        theory = _cnf(solved)
         image = _rule_clauses(theory.clauses)
-        (atoms, cnf), *others = _solver_inputs(engine, af)
+        (atoms, cnf), *others = inputs
         assert (atoms, sorted(cnf)) == (theory.atoms, sorted(image))
         # past the split point, one solver per part: mapped back through their
         # atoms, the parts' clauses split the image's.  The parts are cut from

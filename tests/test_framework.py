@@ -13,7 +13,17 @@ from argstable import (
     parse_apx,
     parse_tgf,
 )
-from tests.common import EMPTY, CHAIN, KNOT, SELF_ATTACK, defeat_frameworks, subsets_of
+from tests.common import (
+    EMPTY,
+    CHAIN,
+    KNOT,
+    SELF_ATTACK,
+    attack_chain,
+    defeat_frameworks,
+    odd_cycles,
+    recursion_headroom,
+    subsets_of,
+)
 from tests.reference_parsers import reference_parse_apx, reference_parse_tgf
 
 
@@ -284,6 +294,66 @@ def _admissible_by_definition(af, s):
 def test_admissible_matches_definition(af):
     for s in subsets_of(af.arguments):
         assert af.is_admissible(s) == _admissible_by_definition(af, s), sorted(s)
+
+
+def _grounded_by_definition(af):
+    """The least fixed point of the characteristic function, iterated from
+    the empty set: S goes to the arguments whose every attacker S attacks."""
+    s = None
+    step = frozenset()
+    while step != s:
+        s = step
+        attacked = {y for x, y in af.attacks if x in s}
+        step = frozenset(
+            x for x in af.arguments if all(b in attacked for b, a in af.attacks if a == x)
+        )
+    return s
+
+
+@settings(max_examples=200)
+@given(defeat_frameworks())
+@example(EMPTY)
+@example(CHAIN)
+@example(SELF_ATTACK)
+@example(KNOT)
+@example(ArgumentationFramework("abcd", {("a", "b"), ("b", "c"), ("c", "d"), ("d", "c")}))
+def test_grounded_is_the_least_fixed_point_and_what_it_attacks(af):
+    accepted, rejected = af.grounded()
+    assert accepted == _grounded_by_definition(af)
+    assert rejected == {y for x, y in af.attacks if x in accepted}
+    assert type(accepted) is type(rejected) is frozenset
+
+
+@settings(max_examples=100)
+@given(defeat_frameworks(), st.data())
+def test_restrict_keeps_the_members_and_the_attacks_between_them(af, data):
+    members = data.draw(st.frozensets(st.sampled_from(sorted(af.arguments))) if af.arguments
+                        else st.just(frozenset()))
+    restricted = af.restrict(iter(members))
+    assert type(restricted) is ArgumentationFramework
+    assert restricted.arguments == members
+    assert restricted.attacks == {(x, y) for x, y in af.attacks if x in members and y in members}
+    with pytest.raises(UnknownArgumentError, match="unknown arguments: \\['zz'\\]"):
+        af.restrict(members | {"zz"})
+
+
+# The labelling keeps a worklist, not a recursion: a chain is labelled one
+# argument after another, and the sources below decide a thousand 3-cycles.
+def test_grounded_and_restrict_need_no_recursion():
+    chain = attack_chain(5000)
+    cycles = odd_cycles(1000)
+    fed = ArgumentationFramework(
+        cycles.arguments | {"s"}, cycles.attacks | {("s", f"a{i}") for i in range(1000)}
+    )
+    names = sorted(chain.arguments)
+    with recursion_headroom(50):
+        assert chain.grounded() == (frozenset(names[::2]), frozenset(names[1::2]))
+        assert cycles.grounded() == (frozenset(), frozenset())
+        accepted, rejected = fed.grounded()
+        assert chain.restrict(names[1:]).attacks == chain.attacks - {(names[0], names[1])}
+        assert cycles.restrict(cycles.arguments) == cycles
+    assert accepted == {"s"} | {f"b{i}" for i in range(1000)}
+    assert rejected == {f"{x}{i}" for i in range(1000) for x in "ac"}
 
 
 # Text in either format, well formed or not, for the differential property
