@@ -22,16 +22,16 @@ from .logic import (
     check_bound,
     is_minimal_model_by_consequence,
 )
-from .translate import alpha_rules, compl, defeat_atom
+from .translate import alpha, compl, defeat_atom
 
-# The alpha and gamma engines, `query` and the UNSAT checker solve the one
-# defeat CNF, built straight from the attacks; the lambda engine works on
-# `lambda_`'s integer rules, and the consequence checker, as the reference,
-# on the `Program` of `alpha`'s.  The benchmark's tracer (perfbench) times
-# translation and search at the names `alpha`, `gamma`, `lambda_`,
-# `minimal_models` and `stable_models`.
+# The alpha and gamma engines, `query` and the UNSAT checker solve `gamma`,
+# the one defeat CNF (as a multiset, `gamma_rules`' integer image); the
+# lambda engine works on `lambda_`'s integer rules, and the consequence
+# checker, as the reference, on `alpha`'s `Program`.  The benchmark's tracer
+# (perfbench) times translation and search at the names `alpha`, `gamma`,
+# `lambda_`, `minimal_models` and `stable_models`.
 from .logic import _minimal_models as minimal_models, _stable_models as stable_models
-from .translate import defeat_cnf as alpha, defeat_cnf as gamma, lambda_rules as lambda_
+from .translate import defeat_cnf as gamma, lambda_rules as lambda_
 
 Extension = frozenset[str]
 
@@ -64,11 +64,11 @@ def _report(engine: str, pairs) -> SolveReport:
     return SolveReport(engine, extensions, witnesses)
 
 
-def _defeat_report(engine: str, af: ArgumentationFramework, build, bound: int) -> SolveReport:
-    """The extensions of the minimal models of the defeat CNF that `build`
-    gives, each the arguments whose defeat atom the model leaves out: atom
-    number i is d(x) for the i-th argument x in sorted order, so one mapping
-    decodes them all.
+def _defeat_report(engine: str, af: ArgumentationFramework, bound: int) -> SolveReport:
+    """The extensions of the minimal models of the defeat CNF `gamma`, each
+    the arguments whose defeat atom the model leaves out: atom number i is
+    d(x) for the i-th argument x in sorted order, so one mapping decodes
+    them all.
 
     Only the undecided core is solved.  The bound is checked on the whole
     framework first.  Every preferred extension contains the grounded
@@ -89,7 +89,7 @@ def _defeat_report(engine: str, af: ArgumentationFramework, build, bound: int) -
     if len(accepted) + len(rejected) == len(af.arguments):
         return _report(engine, [(accepted, out)])
     core = af.restrict(af.arguments - accepted - rejected) if accepted else af
-    theory = build(core)
+    theory = gamma(core)
     argument = dict(zip(theory.atoms, sorted(core.arguments))).__getitem__
     found = minimal_models(theory, bound)
     # an extension is A less OUT less the arguments the core model defeats
@@ -102,7 +102,7 @@ def preferred_via_alpha(
     af: ArgumentationFramework, bound: int = DEFAULT_MODEL_BOUND
 ) -> SolveReport:
     """Preferred extensions read off the minimal models of the defeat theory."""
-    return _defeat_report("alpha", af, alpha, bound)
+    return _defeat_report("alpha", af, bound)
 
 
 def preferred_via_gamma(
@@ -110,7 +110,7 @@ def preferred_via_gamma(
 ) -> SolveReport:
     """Preferred extensions read off the stable models of the disjunctive
     program.  It is positive, so they are its minimal models."""
-    return _defeat_report("gamma", af, gamma, bound)
+    return _defeat_report("gamma", af, bound)
 
 
 def preferred_via_lambda(
@@ -134,7 +134,7 @@ def check_preferred_unsat(
     failure it is the counter-model, the lexicographically least model of
     the certificate, over the defeat atoms in sorted argument order."""
     complement = compl(af, members)
-    theory = alpha(af)
+    theory = gamma(af)
     # the complement image as integer literals: a member's defeat atom false
     image = {v if a in complement else -v for v, a in enumerate(theory.atoms, 1)}
     if any(image.isdisjoint(c) for c in theory.clauses):
@@ -155,9 +155,8 @@ def check_preferred_consequence(
     """Minimality as consequence: the complement image models the defeat
     theory, and the theory plus the denial of every member entails each
     complement atom.  The members' defeat atoms are the atoms outside the
-    complement image, so this is `is_minimal_model_by_consequence`."""
-    theory = alpha_rules(af).program()
-    return is_minimal_model_by_consequence(theory, compl(af, members), bound=bound)
+    complement image: `is_minimal_model_by_consequence` on `alpha`."""
+    return is_minimal_model_by_consequence(alpha(af), compl(af, members), bound=bound)
 
 
 def query(

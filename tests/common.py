@@ -174,6 +174,15 @@ def sink(k):
     return ArgumentationFramework(pairs.arguments | {"z"}, attacks)
 
 
+def ring(k):
+    """`mutual_attacks(k)` plus the cycle a0 -> a1 -> ... -> a<k-1> -> a0: one
+    strongly connected framework whose preferred extensions number L_k, the
+    k-th Lucas number (3, 4, 7, 11, ... for k = 2, 3, 4, 5, ...)."""
+    pairs = mutual_attacks(k)
+    attacks = pairs.attacks | {(f"a{i}", f"a{(i + 1) % k}") for i in range(k)}
+    return ArgumentationFramework(pairs.arguments, attacks)
+
+
 def attack_chain(n):
     """a0000 -> a0001 -> ... -> a<n-1>, numbered so that sorted names follow
     the chain; its one preferred extension is every other argument from the

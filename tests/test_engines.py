@@ -61,6 +61,7 @@ from tests.common import (
     random_attacks,
     random_framework,
     recursion_headroom,
+    ring,
     sink,
     subsets_of,
 )
@@ -486,6 +487,63 @@ def test_long_chain_has_its_one_extension():
     assert report.extensions == (frozenset(sorted(af.arguments)[::2]),)
 
 
+# The peel decides a chain without a solver, so the unpeeled routes keep one
+# under the long chains: the UNSAT checker's one solve on the whole defeat
+# CNF, and the minimal-model search on alpha's `Program`
+def test_long_chain_unpeeled_routes_build_one_solver(monkeypatch):
+    af = attack_chain(1200)
+    extension = frozenset(sorted(af.arguments)[::2])
+    built = count_solver_builds(monkeypatch)
+    assert check_preferred_unsat(af, extension, bound=10_000).holds
+    assert len(built) == 1
+    del built[:]
+    assert logic.minimal_models(alpha(af), bound=10_000) == [compl(af, extension)]
+    assert len(built) == 1
+
+
+def test_unsat_checker_finishes_a_long_chain_under_a_low_recursion_limit():
+    af = attack_chain(5000)
+    extension = frozenset(sorted(af.arguments)[::2])
+    with recursion_headroom(150):
+        assert check_preferred_unsat(af, extension, bound=10_000).holds
+
+
+# Renaming above the oracle's cap: a bijection of names that reorders the
+# sorted numbering maps the extensions to the extensions.  The frameworks
+# are dense enough that one connected part's models defeat more arguments
+# than a block clause cut short would keep.
+def test_renaming_maps_the_extensions_to_the_extensions():
+    rng = random.Random(2031)
+    for _ in range(300):
+        af = random_attacks(rng.randint(60, 100), rng.uniform(0.02, 0.05), rng.randrange(1 << 30))
+        targets = [f"r{k}" for k in range(len(af.arguments))]
+        rng.shuffle(targets)
+        name = dict(zip(sorted(af.arguments), targets))
+        renamed = ArgumentationFramework(
+            frozenset(targets), frozenset((name[x], name[y]) for x, y in af.attacks)
+        )
+        for engine in (preferred_via_alpha, preferred_via_gamma):
+            extensions = engine(af, bound=10_000).extensions
+            expected = canonical(frozenset(map(name.get, e)) for e in extensions)
+            assert engine(renamed, bound=10_000).extensions == tuple(expected)
+
+
+# `ring(k)` is one strongly connected part, so the peel leaves all of it
+# undecided.  It has L_k extensions, the k-th Lucas number, checked against
+# the oracle while it stays small.
+@pytest.mark.parametrize(
+    "k, lucas", zip(range(2, 13), (3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322))
+)
+def test_ring_has_lucas_many_extensions(k, lucas):
+    af = ring(k)
+    assert _undecided(af) == af.arguments
+    for engine in (preferred_via_alpha, preferred_via_gamma):
+        extensions = engine(af, bound=100).extensions
+        assert len(extensions) == lucas
+        if k <= 7:
+            assert extensions == tuple(preferred_oracle(af))
+
+
 # The peel above the oracle's cap: the alpha and gamma engines solve only the
 # core the grounded labelling leaves undecided, and must report exactly the
 # extensions and witnesses that the whole framework's defeat CNF gives.
@@ -672,9 +730,9 @@ def test_engines_build_no_clause(monkeypatch, capsys):
         for members in (extension, extension - {min(extension)}, af.arguments)
     ]
     assert verdicts == [None, "satisfiable", "not-a-model"]
-    # `check_preferred_consequence` builds `alpha_rules(af).program()`, not
-    # `alpha` (which names `defeat_cnf` in `engines`), on purpose:
-    # it is the independent reference the UNSAT checker is tested against
+    # `check_preferred_consequence` builds `alpha`'s `Program`, not
+    # `gamma`'s `defeat_cnf`, on purpose: it is the independent reference
+    # the UNSAT checker is tested against
     # (`TestConsequenceChecker.test_agrees_with_unsat_checker`)
     # `translate` emits every target straight from its integer rules
     monkeypatch.setattr("sys.stdin", io.StringIO(af.to_apx()))
@@ -689,8 +747,9 @@ def test_engines_build_no_clause(monkeypatch, capsys):
 # perfbench's tracer times translation and search by wrapping these names in
 # `engines`; an engine that reaches one by another route would run untimed,
 # and only the benchmark's self-tests would notice.  The engines decode their
-# models by atom number, not through `translate.decode`.  The consequence
-# checker, the reference, builds `alpha_rules(af).program()` and reaches none.
+# models by atom number, not through `translate.decode`.  The alpha and gamma
+# engines, `query` and the UNSAT checker solve `gamma`, the one defeat CNF;
+# the consequence checker, the reference, builds `alpha`'s `Program`.
 _TRACED = ("alpha", "gamma", "lambda_", "minimal_models", "stable_models")
 
 
@@ -702,12 +761,12 @@ def _counted(calls, name, fn):
 
 
 @pytest.mark.parametrize("run, reached", [
-    (lambda: preferred_via_alpha(KNOT), {"alpha", "minimal_models"}),
+    (lambda: preferred_via_alpha(KNOT), {"gamma", "minimal_models"}),
     (lambda: preferred_via_gamma(KNOT), {"gamma", "minimal_models"}),
     (lambda: preferred_via_lambda(KNOT), {"lambda_", "stable_models"}),
     (lambda: query(KNOT, "a", "brave"), {"gamma", "minimal_models"}),
-    (lambda: check_preferred_unsat(KNOT, {"a"}), {"alpha"}),
-    (lambda: check_preferred_consequence(KNOT, {"a"}), set()),
+    (lambda: check_preferred_unsat(KNOT, {"a"}), {"gamma"}),
+    (lambda: check_preferred_consequence(KNOT, {"a"}), {"alpha"}),
 ], ids=["alpha", "gamma", "lambda", "query", "check_unsat", "check_consequence"])
 def test_engines_reach_the_traced_names(monkeypatch, run, reached):
     calls = collections.Counter()
