@@ -17,60 +17,83 @@ A non-negative integer in ARGSTABLE_BOUND overrides the exhaustive bounds.
 
 from __future__ import annotations
 
-import argparse
 import io
-import json
 import os
 import sys
 
-from .engines import (
-    SolveReport,
-    check_preferred_unsat,
-    preferred_via_alpha,
-    preferred_via_gamma,
-    preferred_via_lambda,
-    query,
-)
 from .errors import BoundExceededError, ParseError, UnknownArgumentError
-from .framework import ArgumentationFramework, parse_apx, parse_tgf
-from .oracle import enumerate_admissible, preferred_oracle
-from .translate import (
-    alpha_rules,
-    beta_rules,
-    gamma_rules,
-    lambda_rules,
-    stable_fragment_rules,
-)
 
-# in the order of `--engine`'s choices and of the `--cross-check` runs
-_ENGINES = {
-    "alpha": preferred_via_alpha,
-    "gamma": preferred_via_gamma,
-    "lambda": preferred_via_lambda,
-    "oracle": lambda af, **bound: SolveReport("oracle", tuple(preferred_oracle(af, **bound)), {}),
-}
+# `--engine`'s choices, in the order of the `--cross-check` runs, and
+# `translate`'s targets; named here, so that `--help` and a usage error load
+# nothing of the package but this module and `errors`
+_ENGINE_NAMES = ["alpha", "gamma", "lambda", "oracle"]
+_TARGET_NAMES = ["alpha", "beta", "gamma", "lambda", "stable-fragment"]
 
-# each target's integer rules, which `translate` emits with no `Program` built
-_TARGETS = {
-    "alpha": alpha_rules,
-    "beta": beta_rules,
-    "gamma": gamma_rules,
-    "lambda": lambda_rules,
-    "stable-fragment": stable_fragment_rules,
-}
+
+def _import_commands() -> None:
+    """Bind the names the commands use in this module, on the first call:
+    from `main`'s `try`, so that an interrupt while the package loads ends
+    like any other, or from `__getattr__`, for a caller that looks one up
+    before `main` runs, to wrap it, say.  `_ENGINES` is bound last, so a
+    call that was cut short runs again whole."""
+    global json, ArgumentationFramework, parse_apx, parse_tgf, SolveReport, query
+    global check_preferred_unsat, preferred_via_alpha, preferred_via_gamma, preferred_via_lambda
+    global enumerate_admissible, preferred_oracle, _TARGETS, _ENGINES
+    if "_ENGINES" in globals():
+        return
+    import json
+
+    from .engines import (
+        SolveReport,
+        check_preferred_unsat,
+        preferred_via_alpha,
+        preferred_via_gamma,
+        preferred_via_lambda,
+        query,
+    )
+    from .framework import ArgumentationFramework, parse_apx, parse_tgf
+    from .oracle import enumerate_admissible, preferred_oracle
+    from .translate import (
+        alpha_rules,
+        beta_rules,
+        gamma_rules,
+        lambda_rules,
+        stable_fragment_rules,
+    )
+
+    # each target's integer rules, which `translate` emits with no `Program` built
+    _TARGETS = dict(zip(_TARGET_NAMES, [
+        alpha_rules, beta_rules, gamma_rules, lambda_rules, stable_fragment_rules,
+    ]))
+    _ENGINES = dict(zip(_ENGINE_NAMES, [
+        preferred_via_alpha,
+        preferred_via_gamma,
+        preferred_via_lambda,
+        lambda af, **bound: SolveReport("oracle", tuple(preferred_oracle(af, **bound)), {}),
+    ]))
+
+
+def __getattr__(name: str):
+    # the import system probes for `__path__` and the like, which bind nothing
+    if not name.startswith("__"):
+        _import_commands()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        sys.stderr.write(self.format_usage())
-        raise _UsageError(message)
+def _build_parser():
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            sys.stderr.write(self.format_usage())
+            raise _UsageError(message)
 
-def _build_parser() -> _Parser:
     parser = _Parser(prog="argstable", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
@@ -79,8 +102,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", default="apx", choices=["apx", "tgf"])
 
     p = sub.add_parser("solve", parents=[common], help="list the preferred extensions")
-    p.add_argument("--engine", default="gamma",
-                   choices=list(_ENGINES))
+    p.add_argument("--engine", default="gamma", choices=_ENGINE_NAMES)
     p.add_argument("--json", action="store_true",
                    help="one JSON object per extension, with its witness model")
     p.add_argument("--cross-check", action="store_true",
@@ -98,7 +120,7 @@ def _build_parser() -> _Parser:
     p.add_argument("argument", metavar="NAME")
 
     p = sub.add_parser("translate", parents=[common], help="emit a translation of the framework")
-    p.add_argument("target", choices=sorted(_TARGETS))
+    p.add_argument("target", choices=_TARGET_NAMES)
     p.add_argument("--emit", default="asp", choices=["asp", "dimacs"])
 
     sub.add_parser("admissible", parents=[common], help="list every admissible set")
@@ -209,6 +231,7 @@ def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         bound = _bound()
+        _import_commands()
         code = _COMMANDS[ns.command](ns, _load(ns), bound)
         sys.stdout.flush()
         return code

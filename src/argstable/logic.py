@@ -354,7 +354,10 @@ class _CnfSolver:
     highest decision level among its other literals.  Assumptions are
     decisions, so no learned clause rests on them: every learned clause, and
     every assignment at level 0, follows from the clauses added so far, and
-    both are kept for every later call.
+    both are kept for every later call.  So are the levels of the longest
+    prefix two consecutive `solve` calls' assumptions share, so a run of
+    calls under the same denials propagates them once (van der Tak, Ramos &
+    Heule, "Reusing the assignment trail in CDCL solvers", JSAT 2011).
     """
 
     def __init__(self, atoms: list[str], cnf: list[list[int]]):
@@ -372,6 +375,7 @@ class _CnfSolver:
         self.limits: list[int] = []  # trail length at each decision
         self.head = 0  # the trail before `head` has been propagated
         self.free = 1  # every variable below `free` has a value
+        self.assumed: list[int] = []  # the last `solve`'s, one level each
         self.unsat = False  # the clauses added so far have no model
         # a clause of two literals or more is watched at its first two, with
         # no call per clause, and a unit clause assigns its literal; nothing
@@ -396,10 +400,20 @@ class _CnfSolver:
         lexicographically least, whatever the clauses' order: x1 false if
         some such model has it false, then x2, and so on (`minimal_models`'
         argument, on the first variable where another model differs).  If
-        every assumption is negative, it is minimal among those models."""
-        model = None if self.unsat else self._search(list(assume))
-        self._backtrack(0)
-        return model
+        every assumption is negative, it is minimal among those models.
+        The search starts from the levels of the last call's assumptions
+        that begin this call's too: each holds its assumption and what the
+        clauses imply from it and the levels below, as a search from level 0
+        could, so the answer is the same."""
+        assume = list(assume)
+        shared = 0
+        for old, new in zip(self.assumed, assume):
+            if old != new:
+                break
+            shared += 1
+        self._backtrack(shared)
+        self.assumed = assume
+        return None if self.unsat else self._search(assume)
 
     def minimal_models(self) -> Iterator[Interpretation]:
         """Every minimal model of the clauses added so far, each as soon as
@@ -417,7 +431,10 @@ class _CnfSolver:
         above it, none of them minimal, and the search resumes from the trail
         instead of starting again (Toda & Soh, "Implementing efficient all
         solutions SAT solvers", ACM JEA 2016).  Each is the least, as in
-        `solve`, of those the block clauses let through: lexicographic order."""
+        `solve`, of those the block clauses let through: lexicographic order.
+        It starts from level 0, with no assumption kept."""
+        self._backtrack(0)
+        self.assumed = []
         while not self.unsat:
             model = self._search([])
             if model is None:
@@ -590,10 +607,8 @@ def _minimal_models(theory: Cnf, bound: int) -> list[Interpretation]:
     product is cheaper part by part, but splitting costs a pass over the
     literal occurrences of the integer clauses and a solver per part.  So the
     whole search runs first, rent or buy, and splits once its models times
-    the atoms exceed the literal occurrences.  A theory with few models never
-    splits: on the benchmark's seed-1 cycles, recounted on the undecided
-    cores the engines solve, 600 of `enumerate`'s 780 solve operations
-    split, 8 of `search`'s 720, and none of `decide`'s 520 queries."""
+    the atoms exceed the literal occurrences, and a theory with few models
+    never splits."""
     atoms, cnf = theory
     split = sum(map(len, cnf)) // (len(atoms) or 1) + 1
     search = _solver(theory, bound).minimal_models()

@@ -226,6 +226,21 @@ def count_searches(monkeypatch):
     return searches
 
 
+def count_assignments(monkeypatch):
+    """A list that records every literal `_CnfSolver._assign` sets from here
+    on: the decisions, unit clauses and asserted literals, but none that
+    `_propagate` sets itself."""
+    assigned = []
+    assign = _CnfSolver._assign
+
+    def counted(solver, lit, reason):
+        assigned.append(lit)
+        assign(solver, lit, reason)
+
+    monkeypatch.setattr(_CnfSolver, "_assign", counted)
+    return assigned
+
+
 @contextmanager
 def recursion_headroom(frames):
     """Lower the interpreter's recursion limit to `frames` above the current

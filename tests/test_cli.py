@@ -14,7 +14,13 @@ from hypothesis import given, settings
 import argstable
 from argstable import SolveReport, cli
 from argstable.cli import main
-from tests.common import defeat_frameworks, odd_cycles, recursion_headroom, run_argstable
+from tests.common import (
+    defeat_frameworks,
+    odd_cycles,
+    package_env,
+    recursion_headroom,
+    run_argstable,
+)
 
 CHAIN_APX = "arg(a).\narg(b).\narg(c).\natt(a,b).\natt(b,c).\n"
 KNOT_APX = (
@@ -565,6 +571,60 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     proc = subprocess.run([sys.executable, "-S", "-c", probe],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_an_interrupt_while_the_package_loads_ends_in_one_line():
+    """The entry point loads the package inside `main`'s `try`, so an
+    interrupt on the first import of `argstable.logic` ends like any other."""
+    probe = (
+        "import sys\n"
+        "class Interrupt:\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name == 'argstable.logic':\n"
+        "            sys.meta_path.remove(self)\n"
+        "            raise KeyboardInterrupt\n"
+        "sys.meta_path.insert(0, Interrupt())\n"
+        "sys.argv = ['argstable', 'solve']\n"
+        "from argstable.cli import entry_point\n"
+        "entry_point()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], input=KNOT_APX, env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (130, "", "argstable: error: interrupted\n")
+
+
+def test_help_loads_no_solver():
+    # `-X importtime` lists on standard error every module the run imports
+    proc = run_argstable(["--help"], "-X", "importtime", capture_output=True, text=True,
+                         timeout=60)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: argstable")
+    assert "argstable.cli" in imported and "argstable.logic" not in imported
+
+
+def test_the_package_loads_its_names_on_first_use():
+    """`import argstable` loads none of its modules, and `dir` shows what a
+    fully loaded package holds: the public names, the modules and the
+    module attributes."""
+    probe = (
+        "import sys, argstable\n"
+        "print(sorted(m for m in sys.modules if m.startswith('argstable.')))\n"
+        "print(dir(argstable))\n"
+        "print(argstable.framework.__name__, argstable.cli.__name__, argstable.SolveReport.__module__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    modules = ["engines", "errors", "framework", "logic", "oracle", "translate"]
+    attributes = ["__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+                  "__name__", "__package__", "__path__", "__spec__"]
+    assert proc.stdout.splitlines() == [
+        "[]",
+        str(sorted(argstable.__all__ + modules + attributes)),
+        "argstable.framework argstable.cli argstable.engines",
+    ]
+    assert argstable.__all__ == sorted(argstable.__all__) and len(argstable.__all__) == 45
+    assert all(hasattr(argstable, name) for name in argstable.__all__)
 
 
 def reference_dimacs(program):

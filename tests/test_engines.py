@@ -52,6 +52,7 @@ from tests.common import (
     NO_ATTACKS,
     SELF_ATTACK,
     attack_chain,
+    count_assignments,
     count_searches,
     count_solver_builds,
     defeat_frameworks,
@@ -239,6 +240,17 @@ class TestConsequenceChecker:
             for members in subsets_of(af.arguments):
                 assert check_preferred_consequence(af, members) == \
                     check_preferred_unsat(af, members).holds
+
+    @pytest.mark.parametrize("k", range(10, 21))
+    def test_denials_are_decided_once(self, monkeypatch, k):
+        """The k goals of {a0, ..., a<k-1>} on k mutual attacks share the k
+        denials as their first assumptions, so the solver keeps their levels
+        from one goal to the next: k decisions in all, where deciding them
+        again for every goal would make k^2."""
+        assigned = count_assignments(monkeypatch)
+        members = {f"a{i}" for i in range(k)}
+        assert check_preferred_consequence(mutual_attacks(k), members, bound=2 * k)
+        assert len(assigned) <= 2 * k
 
 
 class TestQuery:

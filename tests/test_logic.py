@@ -852,12 +852,18 @@ def test_entails_agrees_with_models(case):
 def solver_sessions(draw):
     """A CNF over at most six variables and a sequence of assumption lists,
     each one `solve` on one solver, before an enumeration of its minimal
-    models; repeated literals and contradictory assumptions included."""
+    models; repeated literals and contradictory assumptions included.  Each
+    list is a prefix of the one before, of any length, plus up to three new
+    literals, so consecutive calls share levels the solver may keep; the
+    count of literals dropped is drawn, so that long prefixes are common."""
     n = draw(st.integers(1, 6))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
     initial = draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=10))
-    steps = draw(st.lists(st.lists(literal, max_size=3), max_size=8))
-    return n, initial, steps
+    steps = [[]]
+    for _ in range(draw(st.integers(0, 12))):
+        kept = len(steps[-1]) - draw(st.integers(0, len(steps[-1])))
+        steps.append(steps[-1][:kept] + draw(st.lists(literal, max_size=3)))
+    return n, initial, steps[1:]
 
 
 def _satisfies(true_vars, cnf):
@@ -880,12 +886,17 @@ def _brute_models(n, cnf):
 # {x1}.  Fourth: the unit clauses falsify both watches of [1, 2] before any
 # propagation, which must still find the conflict.  Decisions set the lowest
 # unassigned variable false, so each answer is the lexicographically least
-# model by the key below, which no clause order changes.
+# model by the key below, which no clause order changes.  Each answer is
+# also the one a fresh solver gives: the levels a call keeps change nothing.
+# Fifth: the second call shares the first's assumptions x1, x2 and x3, and
+# assumes x4 where the first assumed it false, so a solver that kept one
+# level more than the shared prefix would answer with x4 still false.
 @settings(max_examples=300)
 @example((2, [[-1, -2], [1, -2], [1, 2]], [[]]))
 @example((5, [[5, 2]], []))
 @example((3, [[1, 2], [1, 3]], []))
 @example((2, [[-1], [-2], [1, 2]], [[]]))
+@example((4, [], [[1, 2, 3, -4], [1, 2, 3, 4]]))
 @given(solver_sessions())
 def test_incremental_solver_agrees_with_brute_force(session):
     n, initial, steps = session
@@ -905,6 +916,7 @@ def test_incremental_solver_agrees_with_brute_force(session):
     for assume in steps:
         candidates = _brute_models(n, initial + [[l] for l in assume])
         model = solver.solve(assume)
+        assert model == _solver(theory.to_cnf(), bound=n).solve(assume)
         assert (model is not None) == bool(candidates)
         if model is None:
             continue
