@@ -9,14 +9,16 @@
 `solve --cross-check` runs the three engines and the oracle one after another
 and compares their extensions.
 
-Exit status: 0 success or positive verdict, 1 input error or output that
-cannot be written (a closed pipe, say), 2 exhaustive bound exceeded, 3
-negative verdict, 4 engine disagreement under --cross-check, 130 interrupted.
+Exit status: 0 success or positive verdict, 1 input error, or input or
+output that cannot be read or written (a closed descriptor or pipe, say), 2
+exhaustive bound exceeded, 3 negative verdict, 4 engine disagreement under
+--cross-check, 130 interrupted.
 A non-negative integer in ARGSTABLE_BOUND overrides the exhaustive bounds.
 """
 
 from __future__ import annotations
 
+import errno
 import io
 import os
 import sys
@@ -36,41 +38,25 @@ def _import_commands() -> None:
     like any other, or from `__getattr__`, for a caller that looks one up
     before `main` runs, to wrap it, say.  `_ENGINES` is bound last, so a
     call that was cut short runs again whole."""
-    global json, ArgumentationFramework, parse_apx, parse_tgf, SolveReport, query
-    global check_preferred_unsat, preferred_via_alpha, preferred_via_gamma, preferred_via_lambda
-    global enumerate_admissible, preferred_oracle, _TARGETS, _ENGINES
+    global json, ArgumentationFramework, parse_apx, parse_tgf, query, check_preferred_unsat
+    global enumerate_admissible, _TARGETS, _ENGINES
     if "_ENGINES" in globals():
         return
     import json
 
-    from .engines import (
-        SolveReport,
-        check_preferred_unsat,
-        preferred_via_alpha,
-        preferred_via_gamma,
-        preferred_via_lambda,
-        query,
-    )
+    from . import engines, oracle, translate
+    from .engines import check_preferred_unsat, query
     from .framework import ArgumentationFramework, parse_apx, parse_tgf
-    from .oracle import enumerate_admissible, preferred_oracle
-    from .translate import (
-        alpha_rules,
-        beta_rules,
-        gamma_rules,
-        lambda_rules,
-        stable_fragment_rules,
-    )
+    from .oracle import enumerate_admissible
 
     # each target's integer rules, which `translate` emits with no `Program` built
-    _TARGETS = dict(zip(_TARGET_NAMES, [
-        alpha_rules, beta_rules, gamma_rules, lambda_rules, stable_fragment_rules,
-    ]))
-    _ENGINES = dict(zip(_ENGINE_NAMES, [
-        preferred_via_alpha,
-        preferred_via_gamma,
-        preferred_via_lambda,
-        lambda af, **bound: SolveReport("oracle", tuple(preferred_oracle(af, **bound)), {}),
-    ]))
+    _TARGETS = {name: getattr(translate, name.replace("-", "_") + "_rules")
+                for name in _TARGET_NAMES}
+    # each engine's `preferred_via_` function; the oracle's extensions, with no witness
+    solvers = [getattr(engines, "preferred_via_" + name) for name in _ENGINE_NAMES[:-1]]
+    solvers.append(lambda af, **bound: engines.SolveReport(
+        "oracle", tuple(oracle.preferred_oracle(af, **bound)), {}))
+    _ENGINES = dict(zip(_ENGINE_NAMES, solvers))
 
 
 def __getattr__(name: str):
@@ -142,11 +128,19 @@ def _bound() -> dict[str, int]:
     return {"bound": bound}
 
 
+def _stream(stream):
+    """Standard input or output, or the error of a closed descriptor: with
+    its descriptor closed at start-up, Python sets the stream to None."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
+
+
 def _load(ns) -> ArgumentationFramework:
     try:
         # a leading byte-order mark, as some editors write, is no part of the text
         if ns.input == "-":
-            text = sys.stdin.read().removeprefix("\ufeff")
+            text = _stream(sys.stdin).read().removeprefix("\ufeff")
         else:
             with open(ns.input, encoding="utf-8-sig") as handle:
                 text = handle.read()
@@ -208,7 +202,7 @@ def _cmd_query(ns, af: ArgumentationFramework, bound: dict) -> int:
 
 def _cmd_translate(ns, af: ArgumentationFramework, bound: dict) -> int:
     theory = _TARGETS[ns.target](af)
-    sys.stdout.write(theory.to_asp() if ns.emit == "asp" else theory.to_dimacs())
+    _stream(sys.stdout).write(theory.to_asp() if ns.emit == "asp" else theory.to_dimacs())
     return 0
 
 
@@ -233,12 +227,14 @@ def main(argv=None) -> int:
         bound = _bound()
         _import_commands()
         code = _COMMANDS[ns.command](ns, _load(ns), bound)
-        sys.stdout.flush()
+        # `print` drops its text when standard output is closed; this raises
+        _stream(sys.stdout).flush()
         return code
     except OSError as exc:
         # `_load` reports its own, so this is a write to standard output that
         # failed; point it at the null device so the flush at exit is silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         message, code = f"cannot write output: {exc.strerror}", 1
     except (_UsageError, ParseError, UnknownArgumentError, BoundExceededError) as exc:
         message, code = exc, 2 if isinstance(exc, BoundExceededError) else 1

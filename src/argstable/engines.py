@@ -66,9 +66,8 @@ def _report(engine: str, pairs) -> SolveReport:
 
 def _defeat_report(engine: str, af: ArgumentationFramework, bound: int) -> SolveReport:
     """The extensions of the minimal models of the defeat CNF `gamma`, each
-    the arguments whose defeat atom the model leaves out: atom number i is
-    d(x) for the i-th argument x in sorted order, so one mapping decodes
-    them all.
+    the arguments whose defeat atom the model leaves out, read back by one
+    mapping from d(x) to x.
 
     Only the undecided core is solved.  The bound is checked on the whole
     framework first.  Every preferred extension contains the grounded
@@ -90,7 +89,7 @@ def _defeat_report(engine: str, af: ArgumentationFramework, bound: int) -> Solve
         return _report(engine, [(accepted, out)])
     core = af.restrict(af.arguments - accepted - rejected) if accepted else af
     theory = gamma(core)
-    argument = dict(zip(theory.atoms, sorted(core.arguments))).__getitem__
+    argument = {defeat_atom(x): x for x in core.arguments}.__getitem__
     found = minimal_models(theory, bound)
     # an extension is A less OUT less the arguments the core model defeats
     kept = af.arguments - rejected

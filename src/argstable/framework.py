@@ -191,19 +191,20 @@ def parse_apx(text: str) -> ArgumentationFramework:
     arguments.discard(None)
     attacks.discard((None, None))
     if "".join(pieces[0::4]).strip() or not arguments.issuperset(chain.from_iterable(attacks)):
-        raise _apx_error(text)
+        raise _apx_error(text, arguments)
     return _framework(frozenset(arguments), frozenset(attacks))
 
 
-def _apx_error(text: str) -> ParseError:
-    """The first error of APX text that `parse_apx` rejected.  It walks the
-    matches of `_APX_PIECES` that the split cut on, then the end of the text.
-    The first non-blank character between two of them starts the error, and
-    the `_FACT` shape there, or its absence, names it.  No legal fact starts
-    where no piece starts, so an `arg` shape there has two names and an `att`
-    shape one.  When all the text between the pieces is blank, the error is
-    the first att fact with an undeclared endpoint."""
-    declared, attacks, end = set(), [], 0
+def _apx_error(text: str, declared: set[str]) -> ParseError:
+    """The first error of APX text that `parse_apx` rejected, given the
+    names its arg facts declare.  It walks the matches of `_APX_PIECES` that
+    the split cut on, then the end of the text.  The first non-blank
+    character between two of them starts the error, and the `_FACT` shape
+    there, or its absence, names it.  No legal fact starts where no piece
+    starts, so an `arg` shape there has two names and an `att` shape one.
+    When all the text between the pieces is blank, the error is the first
+    att fact with an undeclared endpoint."""
+    attacks, end = [], 0
     for m in chain(re.finditer(_APX_PIECES, text), [None]):
         start = len(text) if m is None else m.start()
         gap = text[end:start]
@@ -222,9 +223,7 @@ def _apx_error(text: str) -> ParseError:
             return ParseError(f"unknown predicate {pred!r}", *at)
         if m is None:
             break
-        if m[1]:
-            declared.add(m[1])
-        elif m[2]:
+        if m[2]:
             attacks.append(m)
         end = m.end()
     for m in attacks:

@@ -374,7 +374,6 @@ class _CnfSolver:
         self.trail: list[int] = []
         self.limits: list[int] = []  # trail length at each decision
         self.head = 0  # the trail before `head` has been propagated
-        self.free = 1  # every variable below `free` has a value
         self.assumed: list[int] = []  # the last `solve`'s, one level each
         self.unsat = False  # the clauses added so far have no model
         # a clause of two literals or more is watched at its first two, with
@@ -450,18 +449,6 @@ class _CnfSolver:
         v = abs(lit)
         self.level[v], self.reason[v] = len(self.limits), reason
         self.trail.append(lit)
-
-    def _undo(self, mark: int) -> None:
-        """Unassign the trail from `mark` on."""
-        value, free = self.value, self.free
-        for lit in self.trail[mark:]:
-            value[lit] = value[-lit] = None
-            v = lit if lit > 0 else -lit
-            if v < free:
-                free = v
-        self.free = free
-        del self.trail[mark:]
-        self.head = min(self.head, mark)
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation over the watch lists; returns a falsified clause.
@@ -539,9 +526,14 @@ class _CnfSolver:
         return learned
 
     def _backtrack(self, depth: int) -> None:
+        """Unassign every level above `depth`."""
         if len(self.limits) > depth:
-            self._undo(self.limits[depth])
-            del self.limits[depth:]
+            mark = self.limits[depth]
+            value = self.value
+            for lit in self.trail[mark:]:
+                value[lit] = value[-lit] = None
+            del self.trail[mark:], self.limits[depth:]
+            self.head = min(self.head, mark)
 
     def _backjump(self, clause: list[int]) -> None:
         """Add a clause that the assignment falsifies, a literal of the
@@ -584,11 +576,10 @@ class _CnfSolver:
                 if value[lit] is None:
                     self._assign(lit, None)
             else:
-                v = self.free
-                while v <= variables and value[v] is not None:
-                    v += 1
-                self.free = v
-                if v > variables:
+                # the lowest unassigned variable, or a model if there is none
+                try:
+                    v = value.index(None, 1, variables + 1)
+                except ValueError:
                     return frozenset(a for a, x in zip(self.atoms, value[1:]) if x)
                 limits.append(len(self.trail))
                 self._assign(-v, None)

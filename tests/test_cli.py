@@ -421,6 +421,23 @@ class TestBounds:
         )
 
 
+def run_with_closed(redirect, argv):
+    """`python -m argstable ARGV` with the descriptor that the shell's
+    REDIRECT, `>&-` or `<&-`, closes, so Python starts with `sys.stdout` or
+    `sys.stdin` None; standard error captured as text."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "argstable", *argv],
+        env=package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=120,
+    )
+
+
+def test_closed_standard_input_exits_1_without_traceback():
+    proc = run_with_closed("<&-", ["solve"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "argstable: error: cannot read -: [Errno 9] Bad file descriptor\n"
+
+
 class TestClosedOutput:
     # 800 arguments, each attacking the next three: the size of the
     # benchmark's translations
@@ -458,6 +475,13 @@ class TestClosedOutput:
         finally:
             os.close(write)
         self.assert_one_error_line(proc.returncode, proc.stderr)
+
+    @pytest.mark.parametrize("argv", [["translate", "gamma"], ["solve"]],
+                             ids=["translate-gamma", "solve"])
+    def test_closed_descriptor_exits_1_without_traceback(self, tmp_path, argv):
+        proc = run_with_closed(">&-", self.on_file(tmp_path, argv, KNOT_APX))
+        self.assert_one_error_line(proc.returncode, proc.stderr)
+        assert proc.stderr == "argstable: error: cannot write output: Bad file descriptor\n"
 
     @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
     def test_reader_gone_mid_write_exits_1(self, tmp_path, flags):
@@ -625,6 +649,40 @@ def test_the_package_loads_its_names_on_first_use():
     ]
     assert argstable.__all__ == sorted(argstable.__all__) and len(argstable.__all__) == 45
     assert all(hasattr(argstable, name) for name in argstable.__all__)
+
+
+def test_cli_names_resolve_before_main_runs():
+    """The names that perfbench's tracer and these tests look up on `cli`
+    resolve in a fresh interpreter before `main` has run, and the tables
+    hold the engines' and the translations' own functions."""
+    names = ["parse_apx", "parse_tgf", "query", "check_preferred_unsat",
+             "_ENGINES", "_TARGETS", "_COMMANDS"]
+    probe = (
+        "import sys, argstable.cli as cli\n"
+        "for name in sys.argv[1:]:\n"
+        "    value = getattr(cli, name)\n"
+        "    print(name, list(value) if isinstance(value, dict) else value.__module__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, *names], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "parse_apx argstable.framework",
+        "parse_tgf argstable.framework",
+        "query argstable.engines",
+        "check_preferred_unsat argstable.engines",
+        f"_ENGINES {cli._ENGINE_NAMES}",
+        f"_TARGETS {cli._TARGET_NAMES}",
+        "_COMMANDS ['solve', 'check', 'query', 'translate', 'admissible']",
+    ]
+    from argstable import engines, translate
+
+    for name in ["alpha", "gamma", "lambda"]:
+        assert cli._ENGINES[name] is getattr(engines, f"preferred_via_{name}")
+    for name, rules in [("alpha", translate.alpha_rules), ("beta", translate.beta_rules),
+                        ("gamma", translate.gamma_rules), ("lambda", translate.lambda_rules),
+                        ("stable-fragment", translate.stable_fragment_rules)]:
+        assert cli._TARGETS[name] is rules
 
 
 def reference_dimacs(program):

@@ -540,6 +540,26 @@ def test_renaming_maps_the_extensions_to_the_extensions():
             assert engine(renamed, bound=10_000).extensions == tuple(expected)
 
 
+# Preferred extensions above the oracle's cap, on the renaming test's
+# family: each is admissible, none contains another, and a fresh mutual pair
+# x <-> y, which attacks nothing else, turns each extension E into exactly
+# E | {x} and E | {y}.  The pair z0 <-> z1 sorts after every a<i>, so the
+# solver decides its defeat atoms last; A0 <-> A1 sorts first, decided first.
+def test_extensions_above_the_cap_are_admissible_maximal_and_split_by_a_fresh_pair():
+    rng = random.Random(2032)
+    for _ in range(300):
+        af = random_attacks(rng.randint(60, 100), rng.uniform(0.02, 0.05), rng.randrange(1 << 30))
+        for engine in (preferred_via_alpha, preferred_via_gamma):
+            extensions = engine(af, bound=10_000).extensions
+            assert all(af.is_admissible(e) for e in extensions)
+            assert not any(e < f for e in extensions for f in extensions)
+            for x, y in [("z0", "z1"), ("A0", "A1")]:
+                widened = ArgumentationFramework(af.arguments | {x, y},
+                                                 af.attacks | {(x, y), (y, x)})
+                expected = canonical(e | {z} for e in extensions for z in (x, y))
+                assert engine(widened, bound=10_000).extensions == tuple(expected)
+
+
 # `ring(k)` is one strongly connected part, so the peel leaves all of it
 # undecided.  It has L_k extensions, the k-th Lucas number, checked against
 # the oracle while it stays small.

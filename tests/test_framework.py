@@ -125,9 +125,9 @@ def _counting_apx_errors():
     calls = []
     diagnose = framework._apx_error
 
-    def counted(text):
+    def counted(text, declared):
         calls.append(text)
-        return diagnose(text)
+        return diagnose(text, declared)
 
     with mock.patch.object(framework, "_apx_error", counted):
         yield calls
