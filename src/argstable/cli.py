@@ -80,6 +80,14 @@ def _build_parser():
             sys.stderr.write(self.format_usage())
             raise _UsageError(message)
 
+        def print_help(self, file=None):
+            # argparse would write to standard error when standard output
+            # is closed, and drop a failed write; this raises, as a
+            # command's output does
+            out = _stream(sys.stdout)
+            out.write(self.format_help())
+            out.flush()
+
     parser = _Parser(prog="argstable", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)

@@ -204,7 +204,7 @@ def _within(atoms: Iterable[str], signature: Iterable[str], what: str) -> None:
 
 def canonical(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
     """Sets in the canonical order every result list uses: by sorted members."""
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
+    return sorted(sets, key=sorted)
 
 
 def models(program: Program, bound: int = DEFAULT_MODEL_BOUND) -> list[Interpretation]:
@@ -342,7 +342,8 @@ def _cnf(program: Program) -> NumberedTheory:
 class _CnfSolver:
     """The one solver, over integer clauses on the numbered `atoms`, built by
     `_solver` from a whole theory's `Cnf`, by `_minimal_models` for each part
-    of one and by `_stable_models` for its theory with copies.
+    of one, with the block clauses of the part's seeds after its clauses,
+    and by `_stable_models` for its theory with copies.
     Conflict-driven clause learning after MiniSat (Eén & Sörensson, "An
     Extensible SAT-solver", SAT 2003), with two watched literals per clause
     (Moskewicz et al., "Chaff", DAC 2001).
@@ -596,21 +597,32 @@ def _minimal_models(theory: Cnf, bound: int) -> list[Interpretation]:
     They are the unions of one minimal model per part (`_parts`), with every
     atom in no clause false.  One search keeps every block clause, so a large
     product is cheaper part by part, but splitting costs a pass over the
-    literal occurrences of the integer clauses and a solver per part.  So the
-    whole search runs first, rent or buy, and splits once its models times
-    the atoms exceed the literal occurrences, and a theory with few models
-    never splits."""
+    literal occurrences and a solver per part.  So the whole search runs
+    first and splits once it has found a second model, if two parts or more
+    have two atoms or more: a theory with one minimal model never looks for
+    parts, and a part of one atom has one minimal model at most, so with no
+    second part of two atoms the product is what the whole search finds.
+    Each part's solver starts with the block clause of each distinct
+    projection of the models found onto its atoms, in the order found, and
+    its models are those projections, then what its own search finds.  Each
+    projection is a minimal model of the part, so the block clauses keep out
+    no other: a minimal model of the part that is no projection contains
+    none.  And a minimal model N of the seeded part is minimal in the part:
+    a minimal model of the part below N would be either no projection, and
+    so a model of the seeded part below N, or a projection, whose block
+    clause N breaks."""
     atoms, cnf = theory
-    split = sum(map(len, cnf)) // (len(atoms) or 1) + 1
     search = _solver(theory, bound).minimal_models()
-    found = list(islice(search, split))
-    if len(found) == split:
+    found = list(islice(search, 2))
+    if len(found) == 2:
         parts = _parts(atoms, cnf)
-        if len(parts) > 1:
+        if sum(len(names) > 1 for names, _ in parts) > 1:
             product = [frozenset()]
             for atoms, clauses in parts:
+                seeds = list(dict.fromkeys([m.intersection(atoms) for m in found]))
+                blocks = [[-v for v, a in enumerate(atoms, 1) if a in seed] for seed in seeds]
                 # a part's atoms are the theory's, which met the bound
-                own = list(_CnfSolver(atoms, clauses).minimal_models())
+                own = seeds + list(_CnfSolver(atoms, clauses + blocks).minimal_models())
                 product = [m | p for m in product for p in own]
             return product
     return found + list(search)

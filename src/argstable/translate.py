@@ -16,8 +16,9 @@ and `stable_fragment` keeps only `alpha`'s negative half.  Each is a
 solves `lambda_rules`, and the public builders turn them into a `Program`;
 no builder constructs a `Clause` itself.  `alpha` and `gamma` compile to one
 clause set, which `defeat_cnf` builds as integer clauses straight from the
-attacks, with no rule on the way: the alpha and gamma engines, `query` and
-the UNSAT checker solve it.
+attacks, with no rule on the way: gamma_rules' integer image less its
+tautologies.  The alpha and gamma engines, `query` and the UNSAT checker
+solve it.
 """
 
 from __future__ import annotations
@@ -76,13 +77,18 @@ def defeat_cnf(af: ArgumentationFramework) -> Cnf:
     the form the engines solve.  Per attack (b, a): the defender clause
     `[a, -c1, ..., -ck]`, where the c attack b, and the attack clause
     `[min(a, b), max(a, b)]`, or `[a]` for a self-attack.  Each distinct
-    clause is kept once, in the order of the sorted attack pairs.  As a
-    multiset it is `gamma_rules`' integer image; `alpha_rules` gives the same
-    set, with `[a, b]` once per direction of a mutual attack."""
+    clause is kept once, in the order of the sorted attack pairs.  It is
+    gamma_rules' integer image less its tautologies: the defender clause of
+    an attack (b, a) holds -a when a attacks b too, a mutual attack or a
+    self-attack, and every assignment satisfies it, so dropping it changes
+    no model and no model's order.  As a set it is `alpha_rules`' image less
+    the same clauses, as `alpha` holds `[a, b]` once per direction of a
+    mutual attack.  `gamma_rules`, `to_asp` and `to_dimacs` keep the rule."""
     atoms, attacks, denials = _read_attacks(af)
     clauses = {}
     for a, b in attacks:
-        clauses[(a, *denials[b])] = None
+        if -a not in denials[b]:
+            clauses[(a, *denials[b])] = None
         clauses[(a,) if a == b else (a, b) if a < b else (b, a)] = None
     return Cnf(atoms, [list(c) for c in clauses])
 

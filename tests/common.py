@@ -226,6 +226,22 @@ def count_searches(monkeypatch):
     return searches
 
 
+def record_models(monkeypatch):
+    """A dict from each `_CnfSolver` whose `minimal_models` is entered from
+    here on to the list of the models it has yielded."""
+    yielded = {}
+    enumerate_models = _CnfSolver.minimal_models
+
+    def recorded(solver):
+        found = yielded.setdefault(solver, [])
+        for model in enumerate_models(solver):
+            found.append(model)
+            yield model
+
+    monkeypatch.setattr(_CnfSolver, "minimal_models", recorded)
+    return yielded
+
+
 def count_assignments(monkeypatch):
     """A list that records every literal `_CnfSolver._assign` sets from here
     on: the decisions, unit clauses and asserted literals, but none that

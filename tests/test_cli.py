@@ -483,6 +483,22 @@ class TestClosedOutput:
         self.assert_one_error_line(proc.returncode, proc.stderr)
         assert proc.stderr == "argstable: error: cannot write output: Bad file descriptor\n"
 
+    # argparse writes help to standard error when standard output is closed,
+    # and drops a failed write; the help goes where every command's output
+    # goes, and fails the same way
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["help", "solve-help"])
+    def test_help_on_closed_output_exits_1(self, argv):
+        proc = run_with_closed(">&-", argv)
+        self.assert_one_error_line(proc.returncode, proc.stderr)
+        assert proc.stderr == "argstable: error: cannot write output: Bad file descriptor\n"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_argstable(argv, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write)
+        self.assert_one_error_line(proc.returncode, proc.stderr)
+
     @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
     def test_reader_gone_mid_write_exits_1(self, tmp_path, flags):
         # the translation, about 150 KB, outgrows the pipe, so the writer is

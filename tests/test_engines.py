@@ -61,6 +61,7 @@ from tests.common import (
     odd_cycles,
     random_attacks,
     random_framework,
+    record_models,
     recursion_headroom,
     ring,
     sink,
@@ -419,25 +420,35 @@ def test_lambda_checks_every_candidate_on_one_solver(monkeypatch):
     assert found == expected
 
 
-def _split_point(cnf):
-    """The models the whole search finds before it splits: the first m with
-    m times the atoms past the literal occurrences of the integer clauses."""
-    return sum(map(len, cnf.clauses)) // len(cnf.atoms) + 1
+def _assert_split(built, searches, yielded):
+    """What every split does: the whole solver, built first, stops at its
+    second model; each part solver yields none of its seeds, the distinct
+    projections of those two models onto its atoms, so what it yields are
+    the part's minimal models outside them, and it takes at most one search
+    more than that."""
+    per_solver = collections.Counter(map(id, searches))
+    whole, *parts = built
+    assert per_solver[id(whole)] == len(yielded[whole]) == 2
+    for part in parts:
+        seeds = {m & frozenset(part.atoms) for m in yielded[whole]}
+        assert seeds.isdisjoint(yielded[part])
+        assert per_solver[id(part)] <= len(yielded[part]) + 1
 
 
 # The scaling gate of the part-by-part enumeration, with no wall clock: the
 # searches count the work.  The defeat CNF of `mutual_attacks(k)` has 2^k
-# minimal models over 2k atoms and 6k literal occurrences, in k parts of two:
-# the whole search stops at its fourth model, and each part then takes at
-# most three searches, where one search per extension would take 2^k.  k
-# copies of the knot have 2^k minimal models over 5k atoms and 23k literal
-# occurrences, under alpha and gamma alike: two copies stay on one solver,
-# three and four split at the fifth model.
-# `sink(k)` is connected, so its one solver still takes one search per
-# extension.
+# minimal models in k parts of two atoms.  The whole search stops at its
+# second model, which differs from the first in the last pair alone: that
+# part's two seeds are both its models, and every other part's one seed
+# leaves one model to find.  So each part takes one search, 2 + k in all,
+# where one search per extension would take 2^k.  k copies of the knot have
+# 2^k minimal models in k parts, under alpha and gamma alike, and split the
+# same way.  `sink(k)` is connected, so its one solver still takes one
+# search per extension.
 def test_disjoint_parts_are_enumerated_part_by_part(monkeypatch):
     built = count_solver_builds(monkeypatch)
     searches = count_searches(monkeypatch)
+    yielded = record_models(monkeypatch)
 
     def choices(k):
         """Each way to take a<i> or b<i> from every pair i below k."""
@@ -445,26 +456,22 @@ def test_disjoint_parts_are_enumerated_part_by_part(monkeypatch):
 
     for k in range(8, 13):
         del built[:], searches[:]
+        yielded.clear()
         af = mutual_attacks(k)
         assert list(preferred_via_gamma(af).extensions) == canonical(choices(k))
-        per_solver = collections.Counter(map(id, searches))
-        assert per_solver[id(built[0])] == _split_point(defeat_cnf(af)) == 4
         assert len(built) == 1 + k
-        assert all(per_solver[id(part)] <= 3 for part in built[1:])
+        _assert_split(built, searches, yielded)
+        assert len(searches) == 2 + k
     for k in (2, 3, 4):
         af = knot_copies(k)
         sides = [({f"a{i}"}, {f"b{i}", f"d{i}"}) for i in range(k)]
         expected = canonical(frozenset().union(*pick) for pick in itertools.product(*sides))
-        assert _split_point(defeat_cnf(af)) == 5
         for engine in (preferred_via_alpha, preferred_via_gamma):
             del built[:], searches[:]
+            yielded.clear()
             assert list(engine(af).extensions) == expected
-            per_solver = collections.Counter(map(id, searches))
-            split = 2 ** k >= _split_point(defeat_cnf(af))
-            assert split == (k > 2)
-            assert len(built) == (1 + k if split else 1)
-            whole = per_solver[id(built[0])]
-            assert whole == 5 if split else whole <= 2 ** k + 1
+            assert len(built) == 1 + k
+            _assert_split(built, searches, yielded)
     for k in range(8, 11):
         del built[:], searches[:]
         all_b = frozenset(f"b{i}" for i in range(k))
@@ -474,23 +481,29 @@ def test_disjoint_parts_are_enumerated_part_by_part(monkeypatch):
         assert len(searches) == 2 ** k
 
 
-# The other side of the split rule: a theory with few models pays for no
-# parts.  Each of these has one or a few preferred extensions, and the
-# eager split that multi-part theories like the 3-cycles would take builds
-# more solvers.  The grounded labelling decides all of the chain, so its
-# engines build no solver at all.
+# The other side of the split rule: a theory with one minimal model pays for
+# no parts.  Each of these frameworks but two has one preferred extension,
+# and its engines build one solver, which never looks for parts, though the
+# 3-cycles fall into four; the grounded labelling decides all of the chain,
+# so its engines build no solver at all.  Two of the random ones have two
+# extensions, and their whole search looks for parts at the second model.
+# It finds one part, or one of two atoms between two of one atom each, and
+# keeps its one solver.
 def test_few_models_build_one_solver_and_find_no_parts(monkeypatch):
     built = count_solver_builds(monkeypatch)
     parts = []
     find = logic._parts
-    monkeypatch.setattr(logic, "_parts", lambda *args: parts.append(args) or find(*args))
+    monkeypatch.setattr(logic, "_parts", lambda *args: parts.append(find(*args)) or parts[-1])
     frameworks = [odd_cycles(4), attack_chain(100)]
     frameworks += [random_attacks(40, 0.04, seed) for seed in range(1, 11)]
+    found = []
     for af, engine in itertools.product(frameworks, ENGINES[:2]):
-        del built[:]
-        assert engine(af, bound=10_000).extensions
+        del built[:], parts[:]
+        extensions = engine(af, bound=10_000).extensions
         assert len(built) == (1 if _undecided(af) else 0)
-    assert parts == []
+        assert len(parts) == (len(extensions) > 1)
+        found += [sorted(len(atoms) for atoms, _ in p) for p in parts]
+    assert found == [[1, 1, 2], [1, 1, 2], [23], [23]]
 
 
 def test_long_chain_has_its_one_extension():
@@ -692,17 +705,28 @@ def test_engines_hand_the_solver_the_cnf_image(af):
             continue
         theory = _cnf(solved)
         image = _rule_clauses(theory.clauses)
+        if solved is core:
+            # `defeat_cnf` leaves out the defender clauses that hold d(a)
+            # and its negation
+            image = [c for c in image if not any(-lit in c for lit in c)]
         (atoms, cnf), *others = inputs
         assert (atoms, sorted(cnf)) == (theory.atoms, sorted(image))
-        # past the split point, one solver per part: mapped back through their
-        # atoms, the parts' clauses split the image's.  The parts are cut from
-        # the whole solver's clauses after its search has moved the watched
+        # on a split, one solver per part: mapped back through their atoms,
+        # the parts' clauses split the image's.  The parts are cut from the
+        # whole solver's clauses after its search has moved the watched
         # literals of some to the front, so each compares as a literal set.
+        # Every clause of these theories has a positive literal, and each
+        # part's list ends in the block clauses of its seeds, one or two,
+        # which have none.
         index = {a: v for v, a in enumerate(theory.atoms, 1)}
         parts = [(a, c) for a, c in others if all(isinstance(x, str) for x in a)]
         mapped = [sorted(index[a[abs(lit) - 1]] * (1 if lit > 0 else -1) for lit in clause)
-                  for a, c in parts for clause in c]
+                  for a, c in parts for clause in c if max(clause, default=0) > 0]
         assert sorted(mapped) == (sorted(map(sorted, image)) if parts else [])
+        for _, c in parts:
+            blocks = len(c) - sum(max(clause, default=0) > 0 for clause in c)
+            assert 1 <= blocks <= 2
+            assert all(max(clause, default=0) <= 0 for clause in c[len(c) - blocks:])
         part_atoms = [x for a, _ in parts for x in a]
         assert len(part_atoms) == len(set(part_atoms))
         # `lambda_` has `not`, so its engine checks the candidates on one more,
@@ -714,7 +738,7 @@ def test_engines_hand_the_solver_the_cnf_image(af):
 def disjoint_frameworks(draw):
     """Up to four `defeat_frameworks` renamed apart (`x` of the second is
     `x_1`), or copies of two mutual attacks or of the knot, so that many
-    unions have more minimal models than the split point."""
+    unions fall into parts and have two minimal models or more, and split."""
     copy = st.sampled_from([mutual_attacks(2), KNOT])
     parts = draw(st.lists(st.one_of(defeat_frameworks(), copy), min_size=1, max_size=4))
     names = [f"{x}_{k}" for k, af in enumerate(parts) for x in af.arguments]

@@ -26,7 +26,8 @@ from argstable import (
     normalize,
     stable_models,
 )
-from argstable.logic import _CnfSolver, _cnf, _rule, _rule_clauses, _solver
+from argstable import logic
+from argstable.logic import _CnfSolver, _cnf, _minimal_models, _rule, _rule_clauses, _solver, canonical
 from argstable.translate import alpha, beta, defeat_map, gamma
 from tests.common import (
     FOUR_RULE_PROGRAM,
@@ -41,6 +42,7 @@ from tests.common import (
     count_solver_builds,
     mutual_attacks,
     random_program,
+    record_models,
 )
 
 
@@ -502,46 +504,55 @@ def test_each_extremal_model_takes_one_search(monkeypatch):
     """Decisions that set atoms false make the first model found minimal
     (Castell et al. 1996), so m minimal models take at most m + 1 searches on
     one solver, the last one finding nothing: nothing re-solves a model to
-    shrink it.  Over n atoms and L literal occurrences in the program's
-    integer clauses, the whole solver stops at its floor(L / n) + 1-th
-    minimal model, the first whose count times n exceeds L, if the program
-    falls into parts; then each part gets a solver of its own, whose searches
-    are at most one more than the minimal models' distinct projections onto
-    its atoms.  `maximal_models` runs the same search on the mirrored
-    theory, whose minimal models are the complements of the maximal ones,
-    over the same atoms and literal count.  For a program with `not`,
-    `stable_models` builds one more solver, over copy atoms named by
-    numbers, that checks every candidate in at most one search."""
+    shrink it.  If two of the program's parts or more have two atoms or
+    more, the whole solver stops at its second minimal model; then each part
+    gets a solver of its own, whose seeds are the distinct projections of
+    those two models onto its atoms.
+    It yields exactly the part's minimal models outside its seeds, and takes
+    at most one search more than it yields.  `maximal_models` runs the same
+    search on the mirrored theory, whose minimal models are the complements
+    of the maximal ones.  For a program with `not`, `stable_models` builds
+    one more solver, over copy atoms named by numbers, that checks every
+    candidate in at most one search."""
     built = count_solver_builds(monkeypatch)
     searches = count_searches(monkeypatch)
+    yielded = record_models(monkeypatch)
     rng = random.Random(31)
     programs = [FOUR_RULE_PROGRAM, alpha(SELF_ATTACK), alpha(mutual_attacks(4)), gamma(CHAIN), beta(CHAIN)]
     programs += [random_program(rng, max_atoms=8, max_clauses=8) for _ in range(100)]
+    splits = 0
     for p in programs:
-        literals = sum(map(len, _rule_clauses(_cnf(p).clauses)))
-        split_point = literals // (len(p.signature) or 1) + 1
         for enumerate_models in (minimal_models, maximal_models, stable_models):
             if enumerate_models is stable_models and not p.is_general():
                 continue
             # the models the searches find, maximal ones as their complements
-            candidates = (maximal_models if enumerate_models is maximal_models else minimal_models)(p)
+            if enumerate_models is maximal_models:
+                candidates = [p.signature - m for m in maximal_models(p)]
+            else:
+                candidates = minimal_models(p)
             del built[:], searches[:]
+            yielded.clear()
             enumerate_models(p)
             per_solver = Counter(map(id, searches))
             whole, *parts = [s for s in built if all(isinstance(a, str) for a in s.atoms)]
             assert whole is built[0]
             if parts:
-                assert per_solver[id(whole)] == split_point <= len(candidates)
+                splits += 1
+                assert per_solver[id(whole)] == 2 <= len(candidates)
                 part_atoms = sorted(a for part in parts for a in part.atoms)
                 assert part_atoms == sorted(p.occurring_atoms())
             else:
                 assert per_solver[id(whole)] <= len(candidates) + 1
             for part in parts:
-                projections = {m & frozenset(part.atoms) for m in candidates}
-                assert per_solver[id(part)] <= len(projections) + 1
+                atoms = frozenset(part.atoms)
+                seeds = {m & atoms for m in yielded[whole]}
+                own = {m & atoms for m in candidates} - seeds
+                assert sorted(yielded[part], key=sorted) == canonical(own)
+                assert per_solver[id(part)] <= len(own) + 1
             copies = [s for s in built[1:] if not all(isinstance(a, str) for a in s.atoms)]
             assert len(copies) == (enumerate_models is stable_models and not p.is_positive())
             assert all(per_solver[id(solver)] <= len(candidates) for solver in copies)
+    assert splits
 
 
 def _disjoint_union(programs, unused=0):
@@ -571,27 +582,37 @@ _PADDED = Program.of([
 def disjoint_unions(draw):
     """Disjoint unions of up to three parts, each a `random_program` of at
     most two atoms or a part with two minimal models, and up to two unused
-    atoms, so that unions fall on both sides of the split point."""
+    atoms, so that some unions split and others have one minimal model or
+    one part."""
     random_part = st.integers(0, 2 ** 32).map(
         lambda seed: random_program(random.Random(seed), max_atoms=2, max_clauses=3))
     parts = st.one_of(random_part, st.sampled_from([_EITHER, _CHOICE, _PADDED]))
     return _disjoint_union(draw(st.lists(parts, min_size=1, max_size=3)), draw(st.integers(0, 2)))
 
 
-# Two padded parts: 4 minimal models over 4 atoms and 20 literal occurrences.
-# With one unused atom, 4 models times 5 atoms is 20, exactly at the split
-# point: one whole search.  With two, the fourth model is the first past
-# 20 / 6 atoms, one model past it: two part solvers.
+# Two padded parts: 4 minimal models over 4 atoms and 20 literal occurrences,
+# and one or two unused atoms, so that the models times the atoms equal the
+# literal occurrences, 4 times 5, or exceed them, 4 times 6.  The split does
+# not depend on that count: both split at their second model.
 _AT_SPLIT_POINT = _disjoint_union([_PADDED] * 2, 1)
 _PAST_SPLIT_POINT = _disjoint_union([_PADDED] * 2, 2)
-# Far past it: 4 models over 4 atoms and over 5, 6 over 5, 8 over 6 and 8
-# over 7, with 4 to 8 literal occurrences, enumerated part by part
+# 4 minimal models over 4 atoms and over 5, 6 over 5, 8 over 6 and 8 over 7,
+# enumerated part by part
 _SPLIT = {
     "either-2": _disjoint_union([_EITHER, _EITHER]),
     "either-2-unused-1": _disjoint_union([_EITHER, _EITHER], 1),
     "either-one-of-three": _disjoint_union([_EITHER, _ONE_OF_THREE]),
     "either-3": _disjoint_union([_EITHER] * 3),
     "choice-3-unused-1": _disjoint_union([_CHOICE] * 3, 1),
+}
+_FACT = Program.of([clause(["a"])])
+# three parts with one minimal model between them
+_ONE_MODEL = _disjoint_union([_FACT] * 3)
+# a part of one atom has one minimal model at most: next to one part of two
+# atoms it is no reason to split, next to two it is split off with them
+_ONE_ATOM_PART = {
+    "either-and-fact": _disjoint_union([_EITHER, _FACT]),
+    "either-2-and-fact": _disjoint_union([_EITHER, _EITHER, _FACT]),
 }
 
 
@@ -600,14 +621,19 @@ _SPLIT = {
 _INTERLEAVED = Program.of([clause((), ["x3", "x5"]), clause(["x1"], ["x3"]), clause((), ["x2", "x4"])])
 
 
+_UNIONS = (_AT_SPLIT_POINT, _PAST_SPLIT_POINT, *_SPLIT.values(), _ONE_MODEL,
+           *_ONE_ATOM_PART.values(), _INTERLEAVED)
+
+
+def _examples(test):
+    """`test` with every union above as an explicit example."""
+    for p in reversed(_UNIONS):
+        test = example(p)(test)
+    return test
+
+
 @settings(max_examples=100)
-@example(_AT_SPLIT_POINT)
-@example(_PAST_SPLIT_POINT)
-@example(_SPLIT["either-2"])
-@example(_SPLIT["either-one-of-three"])
-@example(_SPLIT["either-3"])
-@example(_SPLIT["choice-3-unused-1"])
-@example(_INTERLEAVED)
+@_examples
 @given(disjoint_unions())
 def test_disjoint_unions_match_brute_force(p):
     everything = models(p)
@@ -616,17 +642,50 @@ def test_disjoint_unions_match_brute_force(p):
     assert stable_models(p) == brute_stable(p)
 
 
-# a connected program past the split point keeps its one whole search
+# The product of the parts' models holds each minimal model once: a part's
+# models are its seeds and then what its own search finds, which is never a
+# seed, as each seed's block clause keeps it out.
+@settings(max_examples=200)
+@_examples
+@given(disjoint_unions())
+def test_disjoint_unions_find_each_minimal_model_once(p):
+    with pytest.MonkeyPatch.context() as patch:
+        built = count_solver_builds(patch)
+        yielded = record_models(patch)
+        found = _minimal_models(_cnf(p).to_cnf(), 24)
+    assert len(set(found)) == len(found)
+    assert canonical(found) == brute_minimal(models(p))
+    whole, *parts = built
+    assert len(yielded[whole]) == (2 if parts else len(found))
+    for part in parts:
+        seeds = {m & frozenset(part.atoms) for m in yielded[whole]}
+        assert seeds.isdisjoint(yielded[part])
+
+
+# A theory splits at its second model if two of its parts or more have two
+# atoms or more, whatever its literal count.  A connected theory, or one
+# part of two atoms beside parts of one, keeps its one whole search, and a
+# theory with one minimal model never looks for parts.
 @pytest.mark.parametrize("p, parts", [
-    pytest.param(_AT_SPLIT_POINT, 0, id="at-split-point"),
+    pytest.param(_AT_SPLIT_POINT, 2, id="at-split-point"),
     pytest.param(_PAST_SPLIT_POINT, 2, id="past-split-point"),
     pytest.param(_ONE_OF_THREE, 0, id="connected"),
+    pytest.param(_ONE_MODEL, 0, id="one-model"),
+    *(pytest.param(p, k, id=name) for (name, p), k in zip(_ONE_ATOM_PART.items(), (0, 3))),
     *(pytest.param(p, k, id=name) for (name, p), k in zip(_SPLIT.items(), (2, 2, 2, 3, 3))),
 ])
 def test_minimal_models_split_only_past_the_literal_count(monkeypatch, p, parts):
     built = count_solver_builds(monkeypatch)
-    assert minimal_models(p) == brute_minimal(models(p))
+    searches = count_searches(monkeypatch)
+    calls = []
+    find = logic._parts
+    monkeypatch.setattr(logic, "_parts", lambda *args: calls.append(args) or find(*args))
+    expected = brute_minimal(models(p))
+    assert minimal_models(p) == expected
     assert len(built) == 1 + parts
+    assert len(calls) == (len(expected) > 1)
+    whole = Counter(map(id, searches))[id(built[0])]
+    assert whole == 2 if parts else whole <= len(expected) + 1
 
 
 @pytest.mark.parametrize("k", range(8, 13))

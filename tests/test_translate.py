@@ -220,10 +220,11 @@ def test_beta_and_stable_fragment_clause_by_clause(af):
 # `alpha` keeps that clause once per direction of a mutual attack, so the
 # clauses compare as sets.  `defeat_cnf`, which the engines solve, builds that
 # CNF straight from the attacks: each clause once, each literal once in it,
-# and clause for clause, literal order included, gamma's integer image.  The
-# examples make one clause twice: `[a]` as the self-attack's clause and as the
-# defender clause of an unattacked attacker; one defender clause for two
-# attackers with the same attackers; and `[a0, b0]` once per direction.
+# and clause for clause, literal order included, gamma's integer image less
+# its tautologies.  The examples make one clause twice: `[a]` as the
+# self-attack's clause and as the defender clause of an unattacked attacker;
+# one defender clause for two attackers with the same attackers; and
+# `[a0, b0]` once per direction.
 @settings(max_examples=200)
 @example(ArgumentationFramework({"a", "u"}, {("a", "a"), ("u", "a")}))
 @example(ArgumentationFramework({"a", "b", "c", "e"}, {("c", "b"), ("c", "e"), ("b", "a"), ("e", "a")}))
@@ -242,7 +243,31 @@ def test_alpha_gamma_and_mirrored_beta_are_one_cnf(af):
     assert cnf.atoms == g.atoms
     assert len(set(clauses)) == len(clauses)
     assert all(len(set(c)) == len(c) for c in clauses)
-    assert Counter(clauses) == Counter(map(tuple, _rule_clauses(g.clauses)))
+    image = [c for c in map(tuple, _rule_clauses(g.clauses)) if not _tautology(c)]
+    assert Counter(clauses) == Counter(image)
+
+
+def _tautology(clause):
+    return any(-lit in clause for lit in clause)
+
+
+# The defender clause of an attack (b, a) holds d(a) and, when a attacks b
+# back, the negation of d(a): every assignment satisfies it.  `defeat_cnf`
+# drops exactly those from gamma's integer image, and there are some exactly
+# when an attack goes both ways or an argument attacks itself.
+@settings(max_examples=200)
+@example(mutual_attacks(2))
+@example(SELF_ATTACK)
+@example(KNOT)
+@given(defeat_frameworks())
+def test_defeat_cnf_is_gammas_image_less_its_tautologies(af):
+    clauses = Counter(map(tuple, defeat_cnf(af).clauses))
+    image = Counter(map(tuple, _rule_clauses(gamma_rules(af).clauses)))
+    assert not any(_tautology(c) for c in clauses)
+    assert clauses <= image
+    dropped = image - clauses
+    assert dropped == Counter({c: k for c, k in image.items() if _tautology(c)})
+    assert bool(dropped) == any((t, s) in af.attacks for s, t in af.attacks)
 
 
 def test_beta_to_alpha_on_random_frameworks():
